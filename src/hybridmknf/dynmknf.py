@@ -20,15 +20,18 @@ from .interp import (
     Known,
     ModelSet,
     Sentence,
+    component_from_models,
     model_sets_equal,
     satisfies,
 )
 from .kbmodel import DynamicHybridKb, HybridKb, modal_rule, single_stage
 from .rules import dynamic_stable_models
 from .splitting import (
+    MIXED_LAYER,
+    ONTOLOGY_LAYER,
+    RULE_LAYER,
     LayerPlan,
-    is_ontology_reducible,
-    is_rule_reducible,
+    layer_kind,
     reduce_stage,
     slice_stage,
     suggest_plan,
@@ -36,10 +39,6 @@ from .splitting import (
 from .winslett import sequence_update_model
 
 _DIRECT_LAYER_ATOMS = 4
-
-ONTOLOGY_LAYER = "ontology"
-RULE_LAYER = "rules"
-MIXED_LAYER = "mixed"
 
 O_BASED = "ontology-based"
 P_BASED = "rules-based"
@@ -65,16 +64,10 @@ def classify_basic(dkb: DynamicHybridKb) -> str:
 
 def layer_kinds(dkb: DynamicHybridKb, plan: LayerPlan) -> list[str]:
     """Character of each layer across all stages; ontology wins ties."""
-    out = []
-    for lo, hi in plan.slices():
-        slices = [slice_stage(kb, lo, hi) for kb in dkb.stages]
-        if all(is_ontology_reducible(s, lo) for s in slices):
-            out.append(ONTOLOGY_LAYER)
-        elif all(is_rule_reducible(s) for s in slices):
-            out.append(RULE_LAYER)
-        else:
-            out.append(MIXED_LAYER)
-    return out
+    return [
+        layer_kind([slice_stage(kb, lo, hi) for kb in dkb.stages], lo)
+        for lo, hi in plan.slices()
+    ]
 
 
 def is_update_enabling(dkb: DynamicHybridKb, plan: LayerPlan) -> bool:
@@ -88,14 +81,10 @@ def _direct_layer_models(
     from .oracle import brute_mknf_models
 
     atoms = tuple(sorted(scope))
-    bit = {a: i for i, a in enumerate(atoms)}
-    out = []
-    for model in brute_mknf_models(sentences, atoms):
-        parts = frozenset(
-            sum(1 << bit[a] for a in interp if a in bit) for interp in model
-        )
-        out.append(Component(atoms, parts))
-    return out
+    return [
+        component_from_models(atoms, model)
+        for model in brute_mknf_models(sentences, atoms)
+    ]
 
 
 def _solve(
@@ -112,23 +101,16 @@ def _solve(
     for layer_idx, (lo, hi) in enumerate(plan.slices()):
         scope = sig.atoms_of_preds(hi - lo)
         slices = [slice_stage(kb, lo, hi) for kb in dkb.stages]
-        o_ok = all(is_ontology_reducible(s, lo) for s in slices)
-        p_ok = all(is_rule_reducible(s) for s in slices)
-        if o_ok:
-            kind = ONTOLOGY_LAYER
-        elif p_ok:
-            kind = RULE_LAYER
-        elif n_stages == 1 and len(scope) <= _DIRECT_LAYER_ATOMS:
-            kind = MIXED_LAYER
-        elif n_stages == 1:
-            raise MixedLayer(
-                f"layer {layer_idx} mixes ontology and rule content over "
-                f"{len(scope)} atoms, too many to solve directly"
-            )
-        else:
+        kind = layer_kind(slices, lo)
+        if kind == MIXED_LAYER and n_stages > 1:
             raise NotUpdateEnabling(
                 f"layer {layer_idx} is neither ontology-like nor rule-like "
                 "across all stages"
+            )
+        if kind == MIXED_LAYER and len(scope) > _DIRECT_LAYER_ATOMS:
+            raise MixedLayer(
+                f"layer {layer_idx} mixes ontology and rule content over "
+                f"{len(scope)} atoms, too many to solve directly"
             )
 
         new_branches: list[tuple[list[Component], list[ModelSet]]] = []

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     CrossComponentFormula,
-    EmptyIntersection,
     ResourceLimit,
     SortMismatch,
     UndeclaredSymbol,
@@ -235,30 +234,6 @@ def eval_objective(sent: Sentence, true_atoms: frozenset[int]) -> bool:
     raise ValueError(f"sentence is not objective: {sent!r}")
 
 
-def compile_objective(sent: Sentence, bit_of: Mapping[int, int]) -> Callable[[int], bool]:
-    """Compile an objective sentence to a predicate on bitmasks.
-
-    bit_of maps atom indices to bit positions inside the mask.
-    """
-    if isinstance(sent, Atom):
-        bit = bit_of[sent.index]
-        return lambda m: bool(m >> bit & 1)
-    if isinstance(sent, Neg):
-        f = compile_objective(sent.sub, bit_of)
-        return lambda m: not f(m)
-    if isinstance(sent, Conj):
-        fs = [compile_objective(s, bit_of) for s in sent.subs]
-        return lambda m: all(f(m) for f in fs)
-    if isinstance(sent, Disj):
-        fs = [compile_objective(s, bit_of) for s in sent.subs]
-        return lambda m: any(f(m) for f in fs)
-    if isinstance(sent, Implies):
-        fb = compile_objective(sent.body, bit_of)
-        fh = compile_objective(sent.head, bit_of)
-        return lambda m: (not fb(m)) or fh(m)
-    raise ValueError(f"sentence is not objective: {sent!r}")
-
-
 def eval_objective_masks(
     sent: Sentence, bit_of: Mapping[int, int], masks: np.ndarray
 ) -> np.ndarray:
@@ -306,29 +281,6 @@ def render_sentence(sent: Sentence, sig: Signature) -> str:
     if isinstance(sent, NotKnown):
         return f"not {render_sentence(sent.sub, sig)}"
     raise TypeError(f"not a sentence: {sent!r}")
-
-
-# ---------------------------------------------------------------------------
-# interpretations
-
-
-@dataclass(frozen=True)
-class Interpretation:
-    """A set of true atoms together with the scope it is read over."""
-
-    scope: frozenset[int]
-    true_atoms: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.true_atoms <= self.scope:
-            raise ValueError("true atoms must lie inside the scope")
-
-    def restrict(self, atoms: frozenset[int]) -> "Interpretation":
-        return Interpretation(self.scope & atoms, self.true_atoms & atoms)
-
-
-def restrict_model(true_atoms: frozenset[int], atoms: frozenset[int]) -> frozenset[int]:
-    return true_atoms & atoms
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +355,8 @@ class Component:
 
     def project(self, atoms: Iterable[int]) -> "Component | None":
         """Component over the given subset of this scope, or None if disjoint."""
-        keep = tuple(a for a in self.atoms if a in set(atoms))
+        wanted = set(atoms)
+        keep = tuple(a for a in self.atoms if a in wanted)
         if not keep:
             return None
         positions = [self.atoms.index(a) for a in keep]
@@ -447,15 +400,6 @@ class ModelSet:
             out |= c.scope
         return frozenset(out)
 
-    def component_of(self, atom: int) -> Component | None:
-        for c in self.components:
-            if atom in c.scope:
-                return c
-        return None
-
-    def part_count(self) -> int:
-        return sum(len(c.parts) for c in self.components)
-
 
 FULL_SET = ModelSet(())
 
@@ -484,121 +428,30 @@ def restrict(m: ModelSet, atoms: frozenset[int]) -> ModelSet:
     return ModelSet(tuple(out))
 
 
-def saturate(m: ModelSet, atoms: frozenset[int]) -> ModelSet:
-    """Greatest set of interpretations coinciding with m on the given atoms."""
-    return restrict(m, atoms)
+def lift_bits(masks: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Move bit i of every mask to bit positions[i]."""
+    out = np.zeros(masks.shape, dtype=np.int64)
+    for i, pos in enumerate(positions):
+        out |= ((masks >> i) & 1) << pos
+    return out
 
 
-def intersect(
-    a: ModelSet, b: ModelSet, limits: EngineLimits = DEFAULT_LIMITS
-) -> ModelSet:
-    """Intersection of two factored sets.
-
-    Components with disjoint scopes concatenate; overlapping components are
-    joined into one component whose parts satisfy both sides.  Raises
-    EmptyIntersection when the combined denotation is empty.
-    """
-    tagged = [(0, c) for c in a.components] + [(1, c) for c in b.components]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for _, c in tagged:
-        for at in c.atoms:
-            parent.setdefault(at, at)
-        for at in c.atoms[1:]:
-            union(c.atoms[0], at)
-    groups: dict[int, list[tuple[int, Component]]] = {}
-    for side, c in tagged:
-        groups.setdefault(find(c.atoms[0]), []).append((side, c))
-
-    out: list[Component] = []
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(members[0][1])
-            continue
-        out.append(_join_components(members, limits))
-    return ModelSet(tuple(out))
+def or_product(arrays: Iterable[np.ndarray], base: int = 0) -> np.ndarray:
+    """Every OR of base with one mask from each array, in product order."""
+    combined = np.array([base], dtype=np.int64)
+    for a in arrays:
+        combined = (combined[:, None] | a[None, :]).ravel()
+    return combined
 
 
-def _join_components(
-    members: list[tuple[int, Component]], limits: EngineLimits
-) -> Component:
-    scope = tuple(sorted(set().union(*(c.scope for _, c in members))))
-    if len(scope) > limits.max_component_atoms + limits.max_separator_atoms:
-        raise ResourceLimit(
-            f"joined component of {len(scope)} atoms exceeds the configured budget"
-        )
-    sides: dict[int, list[Component]] = {0: [], 1: []}
-    for side, c in members:
-        sides[side].append(c)
-
-    def enum_cost(comps: list[Component]) -> float:
-        covered = set().union(*(c.scope for c in comps)) if comps else set()
-        fill = len(scope) - len(covered)
-        cost = float(2**fill)
-        for c in comps:
-            cost *= len(c.parts)
-        return cost
-
-    base, check = (sides[0], sides[1])
-    if enum_cost(sides[1]) < enum_cost(sides[0]):
-        base, check = sides[1], sides[0]
-    if enum_cost(base) > limits.max_parts:
-        raise ResourceLimit("component join would enumerate too many candidates")
-
-    bit = {a: i for i, a in enumerate(scope)}
-    covered = set().union(*(c.scope for c in base)) if base else set()
-    fill_atoms = [a for a in scope if a not in covered]
-    checkers = []
-    for c in check:
-        positions = [bit[a] for a in c.atoms]
-        checkers.append((positions, c.parts))
-
-    def lift(c: Component) -> list[int]:
-        positions = [bit[a] for a in c.atoms]
-        return [
-            sum(((p >> i & 1) << pos) for i, pos in enumerate(positions))
-            for p in c.parts
-        ]
-
-    parts: set[int] = set()
-    lifted = [lift(c) for c in base]
-    for combo in itertools.product(*lifted) if lifted else [()]:
-        core = 0
-        for piece in combo:
-            core |= piece
-        for fill_bits in range(1 << len(fill_atoms)):
-            m = core
-            for i, at in enumerate(fill_atoms):
-                if fill_bits >> i & 1:
-                    m |= 1 << bit[at]
-            ok = True
-            for positions, allowed in checkers:
-                proj = sum(((m >> pos & 1) << i) for i, pos in enumerate(positions))
-                if proj not in allowed:
-                    ok = False
-                    break
-            if ok:
-                parts.add(m)
-        if len(parts) > limits.max_parts:
-            raise ResourceLimit("component join produced too many parts")
-    if not parts:
-        raise EmptyIntersection(
-            "components over "
-            + str(scope)
-            + " have no common interpretation"
-        )
-    return Component(scope, frozenset(parts))
+def _interpretations(
+    comps: Sequence[Component], free: Sequence[int]
+) -> Iterator[frozenset[int]]:
+    """Every interpretation of the given parts, with the free atoms ranging."""
+    choices = [[c.set_of(p) for p in sorted(c.parts)] for c in comps]
+    choices.extend([frozenset(), frozenset((a,))] for a in free)
+    for combo in itertools.product(*choices):
+        yield frozenset().union(*combo)
 
 
 def holds_known(
@@ -611,10 +464,10 @@ def holds_known(
     the candidate count stays inside the configured budget.
     """
     rel = atoms_of(sent)
-    touched = [c for c in m.components if rel & c.scope]
+    touched = [c for c in m.components if not rel.isdisjoint(c.atoms)]
     covered: set[int] = set()
     for c in touched:
-        covered |= c.scope
+        covered.update(c.atoms)
     free = sorted(rel - covered)
     if len(free) > limits.max_query_free_atoms:
         raise ResourceLimit("query ranges over too many unconstrained atoms")
@@ -632,37 +485,19 @@ def holds_known(
     for c in touched:
         atoms += c.atoms
     atoms += tuple(free)
+    if len(atoms) > 62:
+        return all(eval_objective(sent, i) for i in _interpretations(touched, free))
+
     bit = {a: i for i, a in enumerate(atoms)}
-
-    if len(atoms) <= 62:
-        combined = np.zeros(1, dtype=np.int64)
-        shift = 0
-        for c in touched:
-            parts = np.fromiter(c.parts, dtype=np.int64, count=len(c.parts))
-            combined = (combined[:, None] | (parts << shift)[None, :]).ravel()
-            shift += len(c.atoms)
-        if free:
-            fills = np.arange(1 << len(free), dtype=np.int64) << shift
-            combined = (combined[:, None] | fills[None, :]).ravel()
-        return bool(eval_objective_masks(sent, bit, combined).all())
-
-    f = compile_objective(sent, bit)
-    shifts = []
+    arrays = []
     shift = 0
     for c in touched:
-        shifts.append(shift)
+        parts = np.fromiter(c.parts, dtype=np.int64, count=len(c.parts))
+        arrays.append(parts << shift)
         shift += len(c.atoms)
-    part_lists = [
-        [p << s for p in sorted(c.parts)] for c, s in zip(touched, shifts)
-    ]
-    part_lists.append([fill << shift for fill in range(1 << len(free))])
-    for combo in itertools.product(*part_lists):
-        mask = 0
-        for piece in combo:
-            mask |= piece
-        if not f(mask):
-            return False
-    return True
+    if free:
+        arrays.append(np.arange(1 << len(free), dtype=np.int64) << shift)
+    return bool(eval_objective_masks(sent, bit, or_product(arrays)).all())
 
 
 def holds_not(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
@@ -732,14 +567,7 @@ def denotation(
         total *= len(c.parts)
     if total > cap:
         raise ResourceLimit("denotation expansion exceeds the cap")
-    out: set[frozenset[int]] = set()
-    part_sets = [[c.set_of(p) for p in sorted(c.parts)] for c in comps]
-    for combo in itertools.product(*part_sets) if part_sets else [()]:
-        base: frozenset[int] = frozenset().union(*combo) if combo else frozenset()
-        for k in range(len(free) + 1):
-            for extra in itertools.combinations(free, k):
-                out.add(base | frozenset(extra))
-    return out
+    return set(_interpretations(comps, free))
 
 
 def _split_once(comp: Component) -> list[Component] | None:

@@ -104,10 +104,6 @@ def _candidate_interpretations(
         yield frozenset(a for k, a in enumerate(pos_heads) if mask >> k & 1)
 
 
-def _transform(rule: Rule) -> tuple[Lit, tuple[Lit, ...]]:
-    return rule.head, rule.body
-
-
 def stable_models(
     rules: Sequence[Rule],
     scope: frozenset[int] | None = None,
@@ -117,7 +113,7 @@ def stable_models(
     del limits
     if scope is None:
         scope = scope_of(rules)
-    base = [_transform(r) for r in rules]
+    base = [(r.head, r.body) for r in rules]
     out = []
     for i in _candidate_interpretations(rules, scope):
         completion: list[tuple[Lit, tuple[Lit, ...]]] = [
@@ -131,6 +127,23 @@ def stable_models(
     return sorted(out, key=sorted)
 
 
+def latest_firing(
+    programs: Sequence[Sequence[Rule]], true_atoms: frozenset[int]
+) -> dict[Lit, int]:
+    """For each head, the latest stage at which a rule with that head fires.
+
+    A rule fires when the interpretation satisfies its body.  Rejection and
+    default support are both read from this map, so each body is evaluated
+    once per interpretation.
+    """
+    firing: dict[Lit, int] = {}
+    for stage, prog in enumerate(programs):
+        for rule in prog:
+            if body_holds(rule, true_atoms):
+                firing[rule.head] = stage
+    return firing
+
+
 def rejected_occurrences(
     programs: Sequence[Sequence[Rule]], true_atoms: frozenset[int]
 ) -> set[tuple[int, int]]:
@@ -139,22 +152,13 @@ def rejected_occurrences(
     An occurrence is rejected when a rule at the same or a later stage has
     the opposite head and a body the interpretation satisfies.
     """
-    firing_by_head: dict[Lit, int] = {}
-    for stage, prog in enumerate(programs):
-        for rule in prog:
-            if body_holds(rule, true_atoms):
-                head = rule.head
-                prev = firing_by_head.get(head)
-                if prev is None or stage > prev:
-                    firing_by_head[head] = stage
-    out: set[tuple[int, int]] = set()
-    for stage, prog in enumerate(programs):
-        for idx, rule in enumerate(prog):
-            opposite = (not rule.head[0], rule.head[1])
-            latest = firing_by_head.get(opposite)
-            if latest is not None and latest >= stage:
-                out.add((stage, idx))
-    return out
+    firing = latest_firing(programs, true_atoms)
+    return {
+        (stage, idx)
+        for stage, prog in enumerate(programs)
+        for idx, rule in enumerate(prog)
+        if firing.get((not rule.head[0], rule.head[1]), -1) >= stage
+    }
 
 
 def default_assumptions(
@@ -167,13 +171,8 @@ def default_assumptions(
     Rejected occurrences still count here, so an atom whose only support
     was rejected stays unassumed rather than silently falling back to false.
     """
-    supported = {
-        rule.head[1]
-        for prog in programs
-        for rule in prog
-        if rule.head[0] and body_holds(rule, true_atoms)
-    }
-    return frozenset(p for p in scope if p not in supported)
+    firing = latest_firing(programs, true_atoms)
+    return frozenset(p for p in scope if (True, p) not in firing)
 
 
 def dynamic_stable_models(
@@ -188,19 +187,18 @@ def dynamic_stable_models(
         scope = scope_of(all_rules)
     out = []
     for i in _candidate_interpretations(all_rules, scope):
-        rej = rejected_occurrences(programs, i)
-        kept = [
-            _transform(rule)
+        firing = latest_firing(programs, i)
+        # occurrences not rejected, plus the default assumptions
+        reduct: list[tuple[Lit, tuple[Lit, ...]]] = [
+            (rule.head, rule.body)
             for stage, prog in enumerate(programs)
-            for idx, rule in enumerate(prog)
-            if (stage, idx) not in rej
+            for rule in prog
+            if firing.get((not rule.head[0], rule.head[1]), -1) < stage
         ]
-        defaults: list[tuple[Lit, tuple[Lit, ...]]] = [
-            ((False, p), ()) for p in default_assumptions(programs, i, scope)
-        ]
+        reduct.extend(((False, p), ()) for p in scope if (True, p) not in firing)
         expected = frozenset(
             {(True, p) for p in i} | {(False, p) for p in scope if p not in i}
         )
-        if least_model(kept + defaults) == expected:
+        if least_model(reduct) == expected:
             out.append(i)
     return sorted(out, key=sorted)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._graph import strongly_connected, union_find_groups
 from .errors import NotUpdatable
 from .interp import (
     Atom,
@@ -179,16 +180,26 @@ def reduce_stage(
     return sentences, reduced
 
 
-def is_ontology_reducible(slice_kb: HybridKb, lo: frozenset[str]) -> bool:
-    """Rules all have plain heads and bodies the lower layers decide."""
-    return all(
-        r.is_positive() and r.body_predicates() <= lo for r in slice_kb.program
-    )
+ONTOLOGY_LAYER = "ontology"
+RULE_LAYER = "rules"
+MIXED_LAYER = "mixed"
 
 
-def is_rule_reducible(slice_kb: HybridKb) -> bool:
-    """No ontology content at all."""
-    return slice_kb.ontology.is_empty()
+def layer_kind(slices: Sequence[HybridKb], lo: frozenset[str]) -> str:
+    """Character of one layer across its stage slices; ontology wins ties.
+
+    A layer is ontology-like when every rule has a plain head and a body the
+    lower layers decide, and rule-like when it has no ontology content.
+    """
+    if all(
+        r.is_positive() and r.body_predicates() <= lo
+        for s in slices
+        for r in s.program
+    ):
+        return ONTOLOGY_LAYER
+    if all(s.ontology.is_empty() for s in slices):
+        return RULE_LAYER
+    return MIXED_LAYER
 
 
 # ---------------------------------------------------------------------------
@@ -199,55 +210,8 @@ def _condense(
     nodes: Sequence[frozenset[str]], edges: dict[int, set[int]]
 ) -> tuple[list[frozenset[str]], dict[int, set[int]]]:
     """Merge strongly connected groups so the dependency graph is acyclic."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: dict[int, bool] = {}
-    stack: list[int] = []
-    scc_of: dict[int, int] = {}
-    sccs: list[list[int]] = []
-    counter = [0]
-
-    def strongconnect(v: int) -> None:
-        work = [(v, iter(sorted(edges.get(v, ()))))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(edges.get(w, ())))))
-                    advanced = True
-                    break
-                if on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = len(sccs)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for v in range(len(nodes)):
-        if v not in index:
-            strongconnect(v)
-
+    sccs = strongly_connected(len(nodes), edges)
+    scc_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     merged = []
     for comp in sccs:
         preds: frozenset[str] = frozenset()
@@ -267,9 +231,7 @@ def _uniformly_reducible(
     dkb: DynamicHybridKb, lo: frozenset[str], hi: frozenset[str]
 ) -> bool:
     slices = [slice_stage(kb, lo, hi) for kb in dkb.stages]
-    if all(is_ontology_reducible(s, lo) for s in slices):
-        return True
-    return all(is_rule_reducible(s) for s in slices)
+    return layer_kind(slices, lo) != MIXED_LAYER
 
 
 def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
@@ -281,26 +243,7 @@ def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
     for kb in dkb.stages:
         for axiom in kb.ontology.axioms:
             clusters.append(axiom.predicates())
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cluster in clusters:
-        cluster = list(cluster)
-        for p in cluster:
-            parent.setdefault(p, p)
-        for p in cluster[1:]:
-            ra, rb = find(cluster[0]), find(p)
-            if ra != rb:
-                parent[ra] = rb
-    by_root: dict[str, set[str]] = {}
-    for p in parent:
-        by_root.setdefault(find(p), set()).add(p)
-    groups = sorted((frozenset(g) for g in by_root.values()), key=min)
+    groups = sorted((frozenset(g) for g in union_find_groups(clusters)), key=min)
     group_of = {p: i for i, g in enumerate(groups) for p in g}
 
     edges: dict[int, set[int]] = {i: set() for i in range(len(groups))}

@@ -15,10 +15,11 @@ minimised independently and recombined per separator valuation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._graph import union_find_groups
 from .errors import EmptyIntersection, EmptyUpdate, ResourceLimit
 from .interp import (
     Atom,
@@ -28,6 +29,7 @@ from .interp import (
     Disj,
     EngineLimits,
     FALSE,
+    FULL_SET,
     Implies,
     ModelSet,
     Neg,
@@ -37,6 +39,8 @@ from .interp import (
     conj,
     disj,
     eval_objective_masks,
+    lift_bits,
+    or_product,
 )
 
 _LONG_BITS = 62
@@ -84,29 +88,6 @@ def _popcount_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _union_find_groups(clusters: Iterable[Iterable[int]]) -> list[set[int]]:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cluster in clusters:
-        cluster = list(cluster)
-        for a in cluster:
-            parent.setdefault(a, a)
-        for a in cluster[1:]:
-            ra, rb = find(cluster[0]), find(a)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for a in parent:
-        groups.setdefault(find(a), set()).add(a)
-    return list(groups.values())
-
-
 # ---------------------------------------------------------------------------
 # theory decomposition
 
@@ -118,7 +99,7 @@ class _Decomposition:
         sent_atoms = [atoms_of(s) for s in sentences]
         separator: set[int] = set()
         while True:
-            blocks = _union_find_groups(
+            blocks = union_find_groups(
                 [s - separator for s in sent_atoms if s - separator]
             )
             oversized = set().union(
@@ -150,13 +131,6 @@ class _Decomposition:
                 self.block_sentences[block_of[next(iter(outside))]].append(sent)
             else:
                 self.guards.append(sent)
-
-    @property
-    def atoms(self) -> tuple[int, ...]:
-        out = set(self.separator)
-        for b in self.blocks:
-            out |= set(b)
-        return tuple(sorted(out))
 
 
 class _GroupSolver:
@@ -221,11 +195,7 @@ class _GroupSolver:
             ok = np.ones(masks.shape, dtype=bool)
             for s in self.dec.block_sentences[j]:
                 ok &= eval_objective_masks(substitute(s, assign), local_bit, masks)
-            local = masks[ok]
-            lifted = np.zeros(local.shape, dtype=np.int64)
-            for i, a in enumerate(block):
-                lifted |= ((local >> i) & 1) << self.pos[a]
-            self._tables[key] = lifted
+            self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
         return self._tables[key]
 
     def model_parts(self) -> frozenset[int]:
@@ -244,10 +214,7 @@ class _GroupSolver:
             total += count
             if total > self.limits.max_parts:
                 raise ResourceLimit("theory has too many models to enumerate")
-            combined = np.array([self.sep_value_mask(e)], dtype=np.int64)
-            for a in arrays:
-                combined = (combined[:, None] | a[None, :]).ravel()
-            chunks.append(combined)
+            chunks.append(or_product(arrays, self.sep_value_mask(e)))
         if not chunks:
             raise EmptyIntersection("theory has no classical models")
         return frozenset(int(x) for x in np.concatenate(chunks))
@@ -333,22 +300,10 @@ def theory_model_set(
 
     Raises EmptyIntersection when the theory has no models.
     """
-    sent_atoms = [atoms_of(s) for s in sentences]
-    constant_false = [
-        s for s, rel in zip(sentences, sent_atoms) if not rel and substitute(s, {}) != TRUE
-    ]
-    if constant_false:
-        raise EmptyIntersection("theory has no classical models")
-    groups = _union_find_groups([rel for rel in sent_atoms if rel])
-    comps = []
-    for group in sorted(groups, key=min):
-        in_group = [
-            s for s, rel in zip(sentences, sent_atoms) if rel and rel <= group
-        ]
-        atoms = tuple(sorted(group))
-        solver = _GroupSolver(atoms, in_group, limits)
-        comps.append(Component(atoms, solver.model_parts()))
-    return ModelSet(tuple(comps))
+    try:
+        return update_with_theory(FULL_SET, sentences, limits)
+    except EmptyUpdate:
+        raise EmptyIntersection("theory has no classical models") from None
 
 
 def _expand_starts(
@@ -367,20 +322,17 @@ def _expand_starts(
     count <<= len(free)
     if count > limits.max_parts:
         raise ResourceLimit("update start set is too large to enumerate")
-    starts = np.zeros(1, dtype=np.int64)
-    for c in m_comps:
-        parts = np.fromiter(c.parts, dtype=np.int64, count=len(c.parts))
-        lifted = np.zeros(parts.shape, dtype=np.int64)
-        for i, a in enumerate(c.atoms):
-            lifted |= ((parts >> i) & 1) << pos[a]
-        starts = (starts[:, None] | lifted[None, :]).ravel()
+    arrays = [
+        lift_bits(
+            np.fromiter(c.parts, dtype=np.int64, count=len(c.parts)),
+            [pos[a] for a in c.atoms],
+        )
+        for c in m_comps
+    ]
     if free:
         fills = np.arange(1 << len(free), dtype=np.int64)
-        lifted = np.zeros(fills.shape, dtype=np.int64)
-        for i, a in enumerate(free):
-            lifted |= ((fills >> i) & 1) << pos[a]
-        starts = (starts[:, None] | lifted[None, :]).ravel()
-    return starts
+        arrays.append(lift_bits(fills, [pos[a] for a in free]))
+    return or_product(arrays)
 
 
 def update_with_theory(
@@ -403,7 +355,7 @@ def update_with_theory(
         raise EmptyUpdate("updating theory has no classical models")
     clusters = [rel for rel in sent_atoms if rel]
     clusters.extend(c.scope for c in m.components)
-    groups = _union_find_groups(clusters)
+    groups = union_find_groups(clusters)
     out: list[Component] = []
     for group in sorted(groups, key=min):
         atoms = tuple(sorted(group))

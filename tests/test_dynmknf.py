@@ -51,6 +51,7 @@ from hybridmknf.kbmodel import (
     single_stage,
 )
 from hybridmknf.oracle import brute_mknf_models
+from hybridmknf.parser import load_sequence, parse_query
 from hybridmknf.rules import dynamic_stable_models
 from hybridmknf.splitting import LayerPlan, suggest_plan
 from hybridmknf.winslett import sequence_update_model
@@ -238,3 +239,31 @@ def test_entails_conventions():
     assert entails([], Known(p))
     assert entails([FULL_SET], NotKnown(p))
     assert not entails([FULL_SET], Known(p))
+
+
+def test_cargo_update_keeps_partial_inspection_of_s3():
+    """Why criterion 2 fails on `not PartialInspection(s3)`.
+
+    To make LowRiskEUCommodity(c3) false, minimal change may retract
+    EUCountry(portugal) or CommodCountry(c3, portugal); the two changes are
+    incomparable by inclusion, so both survive and neither atom stays known.
+    Without K EUCountry(portugal), p1 is not known to be EU-registered, so
+    the update's rule rejecting partial inspection of p1's shipments has no
+    known body and the base derivation of PartialInspection(s3) stands.
+    """
+    base = load_sequence(["corpus/cargo.kb"])
+    updated = load_sequence(["corpus/cargo.kb", "corpus/cargo_update.kb"])
+
+    def holds(dkb, models, text):
+        return entails(models, parse_query(text, dkb.sig))
+
+    before = dynamic_models(base)
+    assert holds(base, before, "K EURegisteredProducer(p1)")
+    assert holds(base, before, "K EUCountry(portugal)")
+    after = dynamic_models(updated)
+    assert len(after) == 1
+    assert not holds(updated, after, "K EURegisteredProducer(p1)")
+    assert not holds(updated, after, "K EUCountry(portugal)")
+    assert holds(updated, after, "not EUCountry(portugal)")
+    assert holds(updated, after, "not CommodCountry(c3, portugal)")
+    assert holds(updated, after, "K PartialInspection(s3)")

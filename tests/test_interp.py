@@ -1,5 +1,5 @@
-"""Factored model sets: construction, projection, saturation,
-intersection, and modal queries."""
+"""Factored model sets: construction, projection, restriction, and modal
+queries."""
 
 from __future__ import annotations
 
@@ -9,16 +9,13 @@ import random
 
 import pytest
 
-from hybridmknf.errors import (
-    CrossComponentFormula,
-    EmptyIntersection,
-    ResourceLimit,
-)
+from hybridmknf.errors import CrossComponentFormula, ResourceLimit
 from hybridmknf.interp import (
     DEFAULT_LIMITS,
     FULL_SET,
     Atom,
     Component,
+    Conj,
     Disj,
     Known,
     ModelSet,
@@ -26,25 +23,20 @@ from hybridmknf.interp import (
     NotKnown,
     atoms_of,
     canonical,
-    compile_objective,
     component_from_models,
     denotation,
-    eval_objective,
     from_models,
     holds_known,
     holds_not,
-    intersect,
     is_objective,
     model_sets_equal,
     render_model_set,
     restrict,
-    restrict_model,
     satisfies,
     satisfies_s5,
-    saturate,
 )
 
-from helpers import denot, nullary_sig, rnd_objective
+from helpers import denot, nullary_sig
 
 P, Q = Atom(0), Atom(1)
 
@@ -104,6 +96,13 @@ def test_component_helpers():
     assert full.is_full()
 
 
+def test_project_reads_a_one_shot_iterable():
+    c = Component((1, 2, 3), frozenset(range(8)))
+    p = c.project(iter([1, 3]))
+    assert p is not None and p.atoms == (1, 3)
+    assert p == c.project((1, 3))
+
+
 def test_full_set_and_scope():
     assert FULL_SET.scope == frozenset()
     assert denot(FULL_SET, [0, 1]) == frozenset(
@@ -117,7 +116,7 @@ def test_restrict_is_projection():
         m = rnd_model_set(rng)
         keep = frozenset(a for a in range(6) if rng.random() < 0.5)
         direct = frozenset(
-            restrict_model(i, keep) for i in denot(m, list(range(6)))
+            i & keep for i in denot(m, list(range(6)))
         )
         assert denot(restrict(m, keep), sorted(keep)) == direct
 
@@ -129,7 +128,7 @@ def test_saturate_widens_denotation():
         m = rnd_model_set(rng)
         kept = frozenset(a for a in universe if rng.random() < 0.6)
         d0 = denot(m, universe)
-        d1 = denot(saturate(m, kept), universe)
+        d1 = denot(restrict(m, kept), universe)
         assert d0 <= d1
 
 
@@ -139,8 +138,8 @@ def test_saturate_nests_by_intersection():
         m = rnd_model_set(rng)
         u1 = frozenset(a for a in range(6) if rng.random() < 0.6)
         u2 = frozenset(a for a in range(6) if rng.random() < 0.6)
-        twice = saturate(saturate(m, u1), u2)
-        once = saturate(m, u1 & u2)
+        twice = restrict(restrict(m, u1), u2)
+        once = restrict(m, u1 & u2)
         assert model_sets_equal(twice, once)
 
 
@@ -150,41 +149,9 @@ def test_restrict_after_saturate_commutes():
         m = rnd_model_set(rng)
         u1 = frozenset(a for a in range(6) if rng.random() < 0.4)
         u2 = u1 | frozenset(a for a in range(6) if rng.random() < 0.4)
-        lhs = restrict(saturate(m, u2), u1)
+        lhs = restrict(restrict(m, u2), u1)
         rhs = restrict(m, u1)
         assert model_sets_equal(lhs, rhs)
-
-
-def test_intersect_is_denotation_intersection():
-    rng = random.Random(36)
-    universe = list(range(5))
-    hits = 0
-    for _ in range(80):
-        a = from_models(universe, rnd_family(rng, universe))
-        b = from_models(universe, rnd_family(rng, universe))
-        expect = denot(a, universe) & denot(b, universe)
-        if not expect:
-            with pytest.raises(EmptyIntersection):
-                intersect(a, b)
-            continue
-        hits += 1
-        got = intersect(a, b)
-        assert denot(got, universe) == expect
-        assert model_sets_equal(got, intersect(b, a))
-    assert hits > 10
-
-
-def test_intersect_associates():
-    rng = random.Random(37)
-    universe = list(range(4))
-    for _ in range(40):
-        ms = [from_models(universe, rnd_family(rng, universe)) for _ in range(3)]
-        try:
-            left = intersect(intersect(ms[0], ms[1]), ms[2])
-        except EmptyIntersection:
-            continue
-        right = intersect(ms[0], intersect(ms[1], ms[2]))
-        assert model_sets_equal(left, right)
 
 
 def test_canonical_is_stable_and_equal():
@@ -247,17 +214,12 @@ def test_query_resource_guards():
         holds_known(one, Disj((P, Q)), cramped)
 
 
-def test_compile_matches_pointwise_eval():
-    rng = random.Random(39)
-    atoms = list(range(5))
-    bit = {a: i for i, a in enumerate(atoms)}
-    for _ in range(50):
-        sent = rnd_objective(rng, atoms)
-        assert is_objective(sent)
-        fn = compile_objective(sent, bit)
-        for bits in range(32):
-            i = frozenset(a for a in atoms if bits >> bit[a] & 1)
-            assert fn(bits) == eval_objective(sent, i)
+def test_query_wider_than_a_mask():
+    # 70 touched atoms exceed the 62-bit vectorised path
+    m = ModelSet(tuple(Component((a,), frozenset({1})) for a in range(70)))
+    every = [Atom(a) for a in range(70)]
+    assert holds_known(m, Conj(tuple(every)))
+    assert not holds_known(m, Conj(tuple(every[:-1]) + (Neg(every[-1]),)))
 
 
 def test_atoms_of_collects_leaves():
