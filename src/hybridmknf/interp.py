@@ -13,11 +13,12 @@ components, so restriction and saturation share one representation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from ._graph import union_find_groups
 from .errors import (
     CrossComponentFormula,
     ResourceLimit,
@@ -336,9 +337,6 @@ class Component:
     def scope(self) -> frozenset[int]:
         return frozenset(self.atoms)
 
-    def is_full(self) -> bool:
-        return len(self.parts) == 1 << len(self.atoms)
-
     def bit_of(self) -> dict[int, int]:
         return {a: i for i, a in enumerate(self.atoms)}
 
@@ -545,9 +543,19 @@ def satisfies_s5(
     return all(satisfies(m, s, limits) for s in sentences)
 
 
-def denotation(
-    m: ModelSet, universe: Sequence[int], cap: int = 1 << 22
-) -> set[frozenset[int]]:
+_EXPANSION_CAP = 1 << 22
+
+
+def _interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
+    """How many interpretations over n_atoms atoms the comps allow, when the
+    comps are disjoint and lie among those atoms."""
+    total = 1 << (n_atoms - sum(len(c.atoms) for c in comps))
+    for c in comps:
+        total *= len(c.parts)
+    return total
+
+
+def denotation(m: ModelSet, universe: Sequence[int]) -> set[frozenset[int]]:
     """Explicit expansion of the denoted set over a finite atom universe."""
     universe = sorted(universe)
     uni = set(universe)
@@ -562,97 +570,44 @@ def denotation(
         comps.append(c)
         covered |= c.scope
     free = [a for a in universe if a not in covered]
-    total = float(2 ** len(free))
-    for c in comps:
-        total *= len(c.parts)
-    if total > cap:
-        raise ResourceLimit("denotation expansion exceeds the cap")
+    total = _interpretation_count(comps, len(uni))
+    if total > _EXPANSION_CAP:
+        raise ResourceLimit(
+            f"denotation expansion of {total} interpretations exceeds "
+            f"interp._EXPANSION_CAP = {_EXPANSION_CAP}"
+        )
     return set(_interpretations(comps, free))
 
 
-def _split_once(comp: Component) -> list[Component] | None:
-    """One independent factor split of a component, or None if none is found.
-
-    A block B is an independent factor exactly when the part count equals the
-    product of the counts of the projections onto B and its complement; the
-    part set always embeds into that product, so counting suffices.  Blocks
-    are grown from a seed atom by repeatedly absorbing an atom whose joint
-    projection with the block loses parts against the product, which keeps
-    the block inside the seed's true factor.  Jointly dependent but pairwise
-    independent scopes (parity constraints) stall the growth and are left
-    unsplit, which is sound.
-    """
-    n = len(comp.atoms)
-    if n == 1 or len(comp.parts) == 1:
-        return None
-    total = len(comp.parts)
-    scope = set(comp.atoms)
-    single = {a: len(comp.project((a,)).parts) for a in comp.atoms}  # type: ignore[union-attr]
-    for seed in comp.atoms:
-        block = {seed}
-        while len(block) < n:
-            rest = tuple(sorted(scope - block))
-            pb = comp.project(tuple(sorted(block)))
-            pr = comp.project(rest)
-            assert pb is not None and pr is not None
-            if len(pb.parts) * len(pr.parts) == total:
-                return [pb, pr]
-            best = None
-            best_loss = 0
-            for a in rest:
-                joint = comp.project(tuple(sorted(block | {a})))
-                assert joint is not None
-                loss = len(pb.parts) * single[a] - len(joint.parts)
-                if loss > best_loss:
-                    best_loss = loss
-                    best = a
-            if best is None:
-                break
-            block.add(best)
-    return None
-
-
-_FACTOR_PART_CAP = 1 << 14
-
-
-def _factor_component(comp: Component) -> list[Component]:
-    """Split a component into independent factors where that is detectable."""
-    if len(comp.parts) > _FACTOR_PART_CAP:
-        return [comp]
-    out: list[Component] = []
-    pending = [comp]
-    while pending:
-        c = pending.pop()
-        split = _split_once(c)
-        if split is None:
-            out.append(c)
-        else:
-            pending.extend(split)
-    return sorted(out, key=lambda c: c.atoms)
-
-
-def canonical(m: ModelSet) -> ModelSet:
-    """Normal form for denotation comparison: factor maximally, drop free parts."""
-    out: list[Component] = []
-    for comp in m.components:
-        for factor in _factor_component(comp):
-            if not factor.is_full():
-                out.append(factor)
-    return ModelSet(tuple(out))
-
-
-def model_sets_equal(a: ModelSet, b: ModelSet, cap: int = 1 << 22) -> bool:
+def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
     """Whether two factored sets denote the same set of interpretations.
 
-    Canonical forms are compared first; when they disagree structurally the
-    constrained scopes are expanded explicitly, which the factoring cap keeps
-    rare and the expansion cap keeps bounded.
+    Both sets are products of nonempty factors, so they are equal exactly
+    when they agree on every group of atoms that their component scopes
+    link.  A group is skipped when both sides hold the same components
+    there, is unequal when the two sides count different interpretations
+    over it, and is otherwise expanded over its own atoms alone.
     """
-    ca, cb = canonical(a), canonical(b)
-    if ca == cb:
-        return True
-    universe = sorted(ca.scope | cb.scope)
-    return denotation(ca, universe, cap) == denotation(cb, universe, cap)
+    groups = union_find_groups(c.atoms for c in a.components + b.components)
+    group_of = {x: i for i, g in enumerate(groups) for x in g}
+    sides: list[tuple[list[Component], list[Component]]] = [
+        ([], []) for _ in groups
+    ]
+    for side, m in enumerate((a, b)):
+        for c in m.components:
+            sides[group_of[c.atoms[0]]][side].append(c)
+    for group, (ca, cb) in zip(groups, sides):
+        if ca == cb:
+            continue
+        n = len(group)
+        if _interpretation_count(ca, n) != _interpretation_count(cb, n):
+            return False
+        universe = sorted(group)
+        if denotation(ModelSet(tuple(ca)), universe) != denotation(
+            ModelSet(tuple(cb)), universe
+        ):
+            return False
+    return True
 
 
 def render_model_set(m: ModelSet, sig: Signature) -> str:

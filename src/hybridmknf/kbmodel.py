@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .errors import SortMismatch, UndeclaredSymbol, UnsortableVariable
 from .interp import (
     Atom,
-    Conj,
-    Disj,
     FALSE,
     Implies,
     Known,

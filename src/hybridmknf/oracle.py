@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ResourceLimit
-from .interp import Sentence, atoms_of, eval_objective, eval_objective_masks
+from .interp import Sentence, atoms_of, eval_objective_masks
 
 # A rule literal is (positive, atom); a rule is (head, body literals).
 Lit = tuple[bool, int]

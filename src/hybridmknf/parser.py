@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import KbSyntaxError
 from .interp import Atom, Known, Neg, NotKnown, Sentence, Signature, conj

@@ -15,77 +15,27 @@ minimised independently and recombined per separator valuation.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._graph import union_find_groups
 from .errors import EmptyIntersection, EmptyUpdate, ResourceLimit
 from .interp import (
-    Atom,
     Component,
-    Conj,
     DEFAULT_LIMITS,
-    Disj,
     EngineLimits,
-    FALSE,
     FULL_SET,
-    Implies,
     ModelSet,
-    Neg,
     Sentence,
-    TRUE,
     atoms_of,
-    conj,
-    disj,
+    eval_objective,
     eval_objective_masks,
     lift_bits,
     or_product,
 )
 
 _LONG_BITS = 62
-
-
-def substitute(sent: Sentence, assignment: Mapping[int, bool]) -> Sentence:
-    """Fold assigned atoms to constants and simplify what remains."""
-    if isinstance(sent, Atom):
-        if sent.index in assignment:
-            return TRUE if assignment[sent.index] else FALSE
-        return sent
-    if isinstance(sent, Neg):
-        sub = substitute(sent.sub, assignment)
-        if sub == TRUE:
-            return FALSE
-        if sub == FALSE:
-            return TRUE
-        return Neg(sub)
-    if isinstance(sent, Conj):
-        return conj([substitute(s, assignment) for s in sent.subs])
-    if isinstance(sent, Disj):
-        return disj([substitute(s, assignment) for s in sent.subs])
-    if isinstance(sent, Implies):
-        body = substitute(sent.body, assignment)
-        head = substitute(sent.head, assignment)
-        if body == FALSE or head == TRUE:
-            return TRUE
-        if body == TRUE:
-            return head
-        if head == FALSE:
-            return Neg(body)
-        return Implies(body, head)
-    raise ValueError(f"sentence is not objective: {sent!r}")
-
-
-def _popcount_array(arr: np.ndarray) -> np.ndarray:
-    fn = getattr(np, "bitwise_count", None)
-    if fn is not None:
-        return fn(arr).astype(np.int64)
-    out = np.zeros(arr.shape, dtype=np.int64)
-    work = arr.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +124,12 @@ class _GroupSolver:
                 m |= 1 << b
         return m
 
-    def _assignment(self, e: int) -> dict[int, bool]:
-        return {a: bool(e >> i & 1) for i, a in enumerate(self.dec.separator)}
-
     def alive(self, e: int) -> bool:
         if e not in self._alive:
-            assign = self._assignment(e)
-            ok = all(substitute(g, assign) == TRUE for g in self.dec.guards)
+            true_sep = frozenset(
+                a for i, a in enumerate(self.dec.separator) if e >> i & 1
+            )
+            ok = all(eval_objective(g, true_sep) for g in self.dec.guards)
             self._alive[e] = ok
         return self._alive[e]
 
@@ -189,12 +138,12 @@ class _GroupSolver:
         key = (j, e)
         if key not in self._tables:
             block = self.dec.blocks[j]
-            assign = self._assignment(e)
-            local_bit = {a: i for i, a in enumerate(block)}
+            bit_of = {a: i for i, a in enumerate(block + self.dec.separator)}
             masks = np.arange(1 << len(block), dtype=np.int64)
+            with_sep = masks | e << len(block)
             ok = np.ones(masks.shape, dtype=bool)
             for s in self.dec.block_sentences[j]:
-                ok &= eval_objective_masks(substitute(s, assign), local_bit, masks)
+                ok &= eval_objective_masks(s, bit_of, with_sep)
             self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
         return self._tables[key]
 
@@ -246,19 +195,8 @@ class _UpdateSolver(_GroupSolver):
         """Minimal (diff, model) pairs for one block given the start point."""
         key = (j, e, i_block)
         if key not in self._antichains:
-            models = self.block_models(j, e)
-            if models.size == 0:
-                self._antichains[key] = []
-            else:
-                diffs = models ^ i_block
-                order = np.argsort(_popcount_array(diffs), kind="stable")
-                kept: list[tuple[int, int]] = []
-                for idx in order:
-                    d = int(diffs[idx])
-                    if any(k & ~d == 0 for k, _ in kept):
-                        continue
-                    kept.append((d, int(models[idx])))
-                self._antichains[key] = kept
+            models = self.block_models(j, e).tolist()
+            self._antichains[key] = _minimal_antichain({m ^ i_block: m for m in models})
         return self._antichains[key]
 
     def updated_models(self, start: int) -> list[int]:
@@ -348,10 +286,10 @@ def update_with_theory(
     the theory rules out every result.
     """
     sent_atoms = [atoms_of(s) for s in sentences]
-    constant_false = [
-        s for s, rel in zip(sentences, sent_atoms) if not rel and substitute(s, {}) != TRUE
-    ]
-    if constant_false:
+    if any(
+        not rel and not eval_objective(s, frozenset())
+        for s, rel in zip(sentences, sent_atoms)
+    ):
         raise EmptyUpdate("updating theory has no classical models")
     clusters = [rel for rel in sent_atoms if rel]
     clusters.extend(c.scope for c in m.components)

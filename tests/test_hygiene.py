@@ -1,0 +1,66 @@
+"""Source hygiene: no unused imports and no unreferenced private names in
+the engine package."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hybridmknf"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> list[tuple[str, int]]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out.append((name, node.lineno))
+    return out
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for name, line in _imported(tree):
+            if name not in used:
+                unused.append(f"{path.name}:{line} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _top_level_private(tree: ast.Module) -> list[str]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in out if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    reads: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id] = reads.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+            elif isinstance(node, ast.alias):
+                reads[node.name] = reads.get(node.name, 0) + 1
+    unreferenced = [
+        f"{name}.{private}"
+        for name, tree in sorted(trees.items())
+        for private in _top_level_private(tree)
+        if not reads.get(private)
+    ]
+    assert not unreferenced, "unreferenced private names: " + ", ".join(
+        unreferenced
+    )

@@ -22,7 +22,6 @@ from hybridmknf.interp import (
     Neg,
     NotKnown,
     atoms_of,
-    canonical,
     component_from_models,
     denotation,
     from_models,
@@ -64,6 +63,47 @@ def rnd_model_set(rng: random.Random, n_atoms: int = 6) -> ModelSet:
     return ModelSet(tuple(comps))
 
 
+def product(c1: Component, c2: Component) -> Component:
+    """One component denoting what two disjoint ones denote together."""
+    return component_from_models(
+        c1.atoms + c2.atoms,
+        [c1.set_of(p) | c2.set_of(q) for p in c1.parts for q in c2.parts],
+    )
+
+
+def refactor(rng: random.Random, m: ModelSet, universe: list[int]) -> ModelSet:
+    """The same denotation with components merged and free atoms absorbed."""
+    comps = list(m.components)
+    rng.shuffle(comps)
+    free = [a for a in universe if a not in m.scope]
+    out = []
+    while comps:
+        c = comps.pop()
+        if comps and rng.random() < 0.5:
+            c = product(c, comps.pop())
+        if free and rng.random() < 0.5:
+            c = product(c, Component((free.pop(),), frozenset({0, 1})))
+        out.append(c)
+    return ModelSet(tuple(out))
+
+
+def mutate_one_part(rng: random.Random, m: ModelSet) -> ModelSet:
+    """m with one part of one component swapped for a missing part, or
+    dropped when the component has every part."""
+    if not m.components:
+        return ModelSet((Component((0,), frozenset({1})),))
+    comps = list(m.components)
+    i = rng.randrange(len(comps))
+    c = comps[i]
+    parts = set(c.parts)
+    parts.discard(rng.choice(sorted(parts)))
+    missing = [p for p in range(1 << len(c.atoms)) if p not in c.parts]
+    if missing:
+        parts.add(rng.choice(missing))
+    comps[i] = Component(c.atoms, frozenset(parts))
+    return ModelSet(tuple(comps))
+
+
 def test_from_models_round_trip():
     fam = {frozenset({0}), frozenset({0, 1})}
     m = from_models([0, 1], fam)
@@ -79,21 +119,11 @@ def test_from_models_random_round_trip():
         assert denot(m, atoms) == frozenset(fam)
 
 
-def test_canonical_factors_independent_atoms():
-    # p fixed true, q free: canonical form keeps one single-atom component
-    m = canonical(from_models([0, 1], [frozenset({0}), frozenset({0, 1})]))
-    assert len(m.components) == 1
-    assert m.components[0].atoms == (0,)
-
-
 def test_component_helpers():
     c = component_from_models([2, 5], [frozenset({2}), frozenset({2, 5})])
     assert c.scope == frozenset({2, 5})
     assert c.bit_of() == {2: 0, 5: 1}
-    assert not c.is_full()
     assert c.set_of(c.mask_of(frozenset({2, 5}))) == frozenset({2, 5})
-    full = Component((3,), frozenset({0, 1}))
-    assert full.is_full()
 
 
 def test_project_reads_a_one_shot_iterable():
@@ -152,17 +182,6 @@ def test_restrict_after_saturate_commutes():
         lhs = restrict(restrict(m, u2), u1)
         rhs = restrict(m, u1)
         assert model_sets_equal(lhs, rhs)
-
-
-def test_canonical_is_stable_and_equal():
-    rng = random.Random(38)
-    for _ in range(40):
-        m = rnd_model_set(rng)
-        c = canonical(m)
-        assert model_sets_equal(m, c)
-        assert c == canonical(c)
-        least = [min(comp.atoms) for comp in c.components]
-        assert least == sorted(least)
 
 
 def test_holds_known_and_not_conventions():
@@ -236,8 +255,9 @@ def test_render_model_set_mentions_atoms():
 
 
 def test_denotation_cap():
-    with pytest.raises(ResourceLimit):
-        denotation(FULL_SET, list(range(30)), cap=1 << 10)
+    # the count is named, so it was taken before anything was expanded
+    with pytest.raises(ResourceLimit, match=f"expansion of {1 << 30} interp"):
+        denotation(FULL_SET, list(range(30)))
 
 
 def test_model_sets_equal_across_factorings():
@@ -260,3 +280,26 @@ def test_model_sets_equal_across_factorings():
     )
     other = from_models([0, 1], [frozenset({0})])
     assert model_sets_equal(same, other)
+
+    # a parity block over 6 atoms, whole or as two 3-atom parity factors,
+    # next to 12 shared components whose joint expansion exceeds the cap
+    even = [m for m in range(8) if m.bit_count() % 2 == 0]
+    whole = Component(
+        tuple(range(6)), frozenset(a | b << 3 for a in even for b in even)
+    )
+    halves = [Component(atoms, frozenset(even)) for atoms in ((0, 1, 2), (3, 4, 5))]
+    shared = [Component((a, a + 1), frozenset({0, 1, 2})) for a in range(6, 30, 2)]
+    assert model_sets_equal(ModelSet((whole, *shared)), ModelSet((*halves, *shared)))
+
+    rng = random.Random(61)
+    universe = list(range(8))
+    for _ in range(40):
+        m = rnd_model_set(rng, len(universe))
+        copy = refactor(rng, m, universe)
+        assert model_sets_equal(m, copy)
+        assert denot(m, universe) == denot(copy, universe)
+        mutant = mutate_one_part(rng, copy)
+        want = denot(m, universe) == denot(mutant, universe)
+        assert model_sets_equal(m, mutant) == want
+        assert model_sets_equal(mutant, m) == want
+

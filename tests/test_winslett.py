@@ -23,7 +23,6 @@ from hybridmknf.interp import (
 from hybridmknf.oracle import brute_sequence_update, brute_set_update
 from hybridmknf.winslett import (
     sequence_update_model,
-    substitute,
     theory_model_set,
     update_with_theory,
 )
@@ -216,17 +215,3 @@ def test_six_atom_benchmark():
         [1, 2, 5],
         [2, 5],
     ]
-
-
-def test_substitute_partial_evaluation():
-    s = Implies(P, Q)
-    assert substitute(s, {0: True}) == Q
-    rng = random.Random(57)
-    for _ in range(40):
-        sent = rnd_objective(rng, range(4))
-        fixed = {a: rng.random() < 0.5 for a in range(2)}
-        reduced = substitute(sent, fixed)
-        for bits in range(4):
-            rest = frozenset(a for a in (2, 3) if bits >> (a - 2) & 1)
-            full = rest | frozenset(a for a, v in fixed.items() if v)
-            assert eval_objective(reduced, rest) == eval_objective(sent, full)
