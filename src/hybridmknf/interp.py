@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -337,6 +338,22 @@ class Component:
     def scope(self) -> frozenset[int]:
         return frozenset(self.atoms)
 
+    @cached_property
+    def fixed_true(self) -> int:
+        """Mask of the bits set in every part."""
+        out = (1 << len(self.atoms)) - 1
+        for p in self.parts:
+            out &= p
+        return out
+
+    @cached_property
+    def fixed_false(self) -> int:
+        """Mask of the bits clear in every part."""
+        seen = 0
+        for p in self.parts:
+            seen |= p
+        return (1 << len(self.atoms)) - 1 & ~seen
+
     def bit_of(self) -> dict[int, int]:
         return {a: i for i, a in enumerate(self.atoms)}
 
@@ -391,12 +408,18 @@ class ModelSet:
         ordered = tuple(sorted(self.components, key=lambda c: c.atoms[0]))
         object.__setattr__(self, "components", ordered)
 
+    @cached_property
+    def atom_owner(self) -> dict[int, tuple[int, int]]:
+        """Each constrained atom's component position and bit in that component."""
+        return {
+            a: (i, bit)
+            for i, c in enumerate(self.components)
+            for bit, a in enumerate(c.atoms)
+        }
+
     @property
     def scope(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.components:
-            out |= c.scope
-        return frozenset(out)
+        return frozenset(self.atom_owner)
 
 
 FULL_SET = ModelSet(())
@@ -457,18 +480,23 @@ def holds_known(
 ) -> bool:
     """Whether an objective sentence is true in every denoted interpretation.
 
-    Atoms outside every component range freely.  A sentence spanning several
-    components is evaluated over their product, which is only attempted while
-    the candidate count stays inside the configured budget.
+    Atoms outside every component range freely.  A constant sentence is
+    evaluated once; an atom or a negated atom is read from the fixed-bit
+    masks of the component that owns the atom.  Any other sentence is
+    evaluated over the product of the components it touches, which is only
+    attempted while the candidate count stays inside the configured budget.
     """
     rel = atoms_of(sent)
-    touched = [c for c in m.components if not rel.isdisjoint(c.atoms)]
-    covered: set[int] = set()
-    for c in touched:
-        covered.update(c.atoms)
-    free = sorted(rel - covered)
+    owner = m.atom_owner
+    touched = [
+        m.components[i] for i in sorted({owner[a][0] for a in rel if a in owner})
+    ]
+    free = sorted(a for a in rel if a not in owner)
     if len(free) > limits.max_query_free_atoms:
-        raise ResourceLimit("query ranges over too many unconstrained atoms")
+        raise ResourceLimit(
+            f"query ranges over {len(free)} unconstrained atoms, more than "
+            f"EngineLimits.max_query_free_atoms = {limits.max_query_free_atoms}"
+        )
     cost = float(1 << len(free))
     for c in touched:
         cost *= len(c.parts)
@@ -477,7 +505,20 @@ def holds_known(
             raise CrossComponentFormula(
                 "formula spans components whose joint enumeration exceeds the budget"
             )
-        raise ResourceLimit("query enumeration exceeds the budget")
+        raise ResourceLimit(
+            f"query enumeration over {cost:.0f} interpretations exceeds "
+            f"EngineLimits.max_parts = {limits.max_parts}"
+        )
+
+    if not rel:
+        return eval_objective(sent, frozenset())
+    negated = isinstance(sent, Neg)
+    literal = sent.sub if negated else sent
+    if isinstance(literal, Atom):
+        if free:
+            return False
+        fixed = touched[0].fixed_false if negated else touched[0].fixed_true
+        return bool(fixed >> owner[literal.index][1] & 1)
 
     atoms: tuple[int, ...] = ()
     for c in touched:

@@ -98,7 +98,9 @@ def _candidate_interpretations(
     pos_heads = sorted({r.head[1] for r in rules if r.head[0]} & scope)
     if 1 << len(pos_heads) > _CANDIDATE_CAP:
         raise ResourceLimit(
-            f"stable-model search over {len(pos_heads)} candidate atoms is too large"
+            f"stable-model search over {len(pos_heads)} candidate atoms "
+            f"(2^{len(pos_heads)} = {1 << len(pos_heads)} candidates) exceeds "
+            f"rules._CANDIDATE_CAP = {_CANDIDATE_CAP}"
         )
     for mask in range(1 << len(pos_heads)):
         yield frozenset(a for k, a in enumerate(pos_heads) if mask >> k & 1)

@@ -94,7 +94,8 @@ class _GroupSolver:
     ) -> None:
         if len(group_atoms) > _LONG_BITS:
             raise ResourceLimit(
-                f"group of {len(group_atoms)} atoms exceeds the mask width"
+                f"group of {len(group_atoms)} atoms exceeds the mask width "
+                f"winslett._LONG_BITS = {_LONG_BITS}"
             )
         self.group_atoms = group_atoms
         self.pos = {a: i for i, a in enumerate(group_atoms)}
@@ -162,7 +163,10 @@ class _GroupSolver:
                 count *= a.size
             total += count
             if total > self.limits.max_parts:
-                raise ResourceLimit("theory has too many models to enumerate")
+                raise ResourceLimit(
+                    f"theory has too many models to enumerate: at least {total}, "
+                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
+                )
             chunks.append(or_product(arrays, self.sep_value_mask(e)))
         if not chunks:
             raise EmptyIntersection("theory has no classical models")

@@ -1,12 +1,16 @@
 """Source hygiene: no unused imports and no unreferenced private names in
-the engine package."""
+the engine package, and every engine function the benchmark tracer wraps
+still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hybridmknf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hybridmknf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,3 +68,19 @@ def test_every_private_name_is_referenced():
     assert not unreferenced, "unreferenced private names: " + ", ".join(
         unreferenced
     )
+
+
+def test_tracer_targets_exist():
+    # a rename here makes `perfbench/run.py --trace 1` fail on every workload
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(bench)
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in tracer._TARGETS
+        if attr not in vars(owner)
+    ]
+    assert not missing, "traced functions not found: " + ", ".join(missing)

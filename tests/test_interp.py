@@ -12,11 +12,14 @@ import pytest
 from hybridmknf.errors import CrossComponentFormula, ResourceLimit
 from hybridmknf.interp import (
     DEFAULT_LIMITS,
+    FALSE,
     FULL_SET,
+    TRUE,
     Atom,
     Component,
     Conj,
     Disj,
+    Implies,
     Known,
     ModelSet,
     Neg,
@@ -24,6 +27,7 @@ from hybridmknf.interp import (
     atoms_of,
     component_from_models,
     denotation,
+    eval_objective,
     from_models,
     holds_known,
     holds_not,
@@ -49,13 +53,15 @@ def rnd_family(rng: random.Random, atoms: list[int]) -> list[frozenset[int]]:
     return list(dict.fromkeys(pool))
 
 
-def rnd_model_set(rng: random.Random, n_atoms: int = 6) -> ModelSet:
+def rnd_model_set(
+    rng: random.Random, n_atoms: int = 6, max_block: int = 3
+) -> ModelSet:
     """Random multi-component set over a prefix of the atom universe."""
     atoms = list(range(n_atoms))
     rng.shuffle(atoms)
     comps = []
     while atoms:
-        take = min(len(atoms), rng.randint(1, 3))
+        take = min(len(atoms), rng.randint(1, max_block))
         block, atoms = sorted(atoms[:take]), atoms[take:]
         if rng.random() < 0.25:
             continue  # leave these atoms unconstrained
@@ -203,6 +209,33 @@ def test_satisfies_modal_queries():
     assert not satisfies_s5(m, [Known(P), Known(Q)])
 
 
+def test_literal_and_constant_queries_match_denotation():
+    rng = random.Random(53)
+    constants = [TRUE, FALSE, Neg(TRUE), Implies(TRUE, FALSE)]
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        m = rnd_model_set(rng, n, max_block=4)
+        literals = [s for a in range(n) for s in (Atom(a), Neg(Atom(a)))]
+        for sent in literals + constants:
+            universe = sorted(atoms_of(sent))
+            want = all(eval_objective(sent, i) for i in denotation(m, universe))
+            assert holds_known(m, sent) == want, (m, sent)
+            assert holds_not(m, sent) != want, (m, sent)
+            if not universe:
+                kind = "constant"
+            else:
+                kind = "owned" if universe[0] in m.scope else "free"
+            seen.add((kind, want))
+    assert seen == {
+        ("constant", True),
+        ("constant", False),
+        ("owned", True),
+        ("owned", False),
+        ("free", False),
+    }
+
+
 def test_query_spanning_components():
     m = ModelSet(
         (
@@ -231,6 +264,25 @@ def test_query_resource_guards():
     one = ModelSet((Component((0, 1), frozenset({0, 1, 2, 3})),))
     with pytest.raises(ResourceLimit):
         holds_known(one, Disj((P, Q)), cramped)
+    # the same guards hold for literals, before any answer
+    closed = dataclasses.replace(DEFAULT_LIMITS, max_query_free_atoms=0)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"query ranges over 1 unconstrained atoms, more than "
+        r"EngineLimits\.max_query_free_atoms = 0",
+    ):
+        holds_known(FULL_SET, Neg(P), closed)
+    single = dataclasses.replace(DEFAULT_LIMITS, max_parts=1)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"query enumeration over 2 interpretations exceeds "
+        r"EngineLimits\.max_parts = 1",
+    ):
+        holds_known(two, P, single)
+    with pytest.raises(ValueError):
+        holds_known(two, Known(P))
+    with pytest.raises(ValueError):
+        holds_known(two, Known(TRUE))
 
 
 def test_query_wider_than_a_mask():

@@ -166,3 +166,9 @@ def test_render_rule():
 def test_stable_scope_guard():
     with pytest.raises(ResourceLimit):
         stable_models([Rule((T, i), ()) for i in range(40)])
+    with pytest.raises(
+        ResourceLimit,
+        match=r"over 21 candidate atoms \(2\^21 = 2097152 candidates\) exceeds "
+        r"rules\._CANDIDATE_CAP = 1048576",
+    ):
+        stable_models([Rule((T, i), ()) for i in range(21)])

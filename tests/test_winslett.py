@@ -13,6 +13,7 @@ from hybridmknf.interp import (
     DEFAULT_LIMITS,
     FULL_SET,
     Atom,
+    Disj,
     Implies,
     Neg,
     denotation,
@@ -156,6 +157,22 @@ def test_separator_budget_guard():
     chain = [Implies(Atom(a), Atom(a + 1)) for a in range(5)]
     with pytest.raises(ResourceLimit):
         theory_model_set(chain, one)
+
+
+def test_cap_errors_name_the_cap():
+    chain = [Disj((Atom(a), Atom(a + 1))) for a in range(63)]
+    with pytest.raises(
+        ResourceLimit,
+        match=r"group of 64 atoms exceeds the mask width winslett\._LONG_BITS = 62",
+    ):
+        update_with_theory(FULL_SET, chain)
+    two = dataclasses.replace(DEFAULT_LIMITS, max_parts=2)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"too many models to enumerate: at least 3, "
+        r"more than EngineLimits\.max_parts = 2",
+    ):
+        update_with_theory(FULL_SET, [Disj((P, Q))], two)
 
 
 def test_sequence_identity_and_singleton():
