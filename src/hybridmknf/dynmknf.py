@@ -155,7 +155,8 @@ def _solve(
         if len(new_branches) > limits.max_branches:
             raise ResourceLimit(
                 f"layer {layer_idx} split into more than "
-                f"{limits.max_branches} branches"
+                f"{limits.max_branches} branches: {len(new_branches)} branches, "
+                f"more than EngineLimits.max_branches = {limits.max_branches}"
             )
         branches = new_branches
 

@@ -173,9 +173,15 @@ TRUE: Sentence = Conj(())
 FALSE: Sentence = Disj(())
 
 
+def _is_empty(s: Sentence, kind: type) -> bool:
+    # equal to `s == kind(())`, without the generated dataclass comparisons
+    # that dominate building small conjunctions
+    return s.__class__ is kind and not s.subs
+
+
 def conj(subs: Sequence[Sentence]) -> Sentence:
-    subs = tuple(s for s in subs if s != TRUE)
-    if any(s == FALSE for s in subs):
+    subs = tuple(s for s in subs if not _is_empty(s, Conj))
+    if any(_is_empty(s, Disj) for s in subs):
         return FALSE
     if len(subs) == 1:
         return subs[0]
@@ -183,8 +189,8 @@ def conj(subs: Sequence[Sentence]) -> Sentence:
 
 
 def disj(subs: Sequence[Sentence]) -> Sentence:
-    subs = tuple(s for s in subs if s != FALSE)
-    if any(s == TRUE for s in subs):
+    subs = tuple(s for s in subs if not _is_empty(s, Disj))
+    if any(_is_empty(s, Conj) for s in subs):
         return TRUE
     if len(subs) == 1:
         return subs[0]
@@ -334,7 +340,7 @@ class Component:
         if any(p < 0 or p >= top for p in self.parts):
             raise ValueError("part mask out of range for the component scope")
 
-    @property
+    @cached_property
     def scope(self) -> frozenset[int]:
         return frozenset(self.atoms)
 

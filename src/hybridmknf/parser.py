@@ -58,22 +58,28 @@ _TOKEN = re.compile(
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+_HEADER = re.compile(r"\*{3}\s*([OP])\s*\*{3}")
+
 
 def render_term(term: str) -> str:
     return term if _NAME.match(term) else f"'{term}'"
 
 
 class _Tokens:
+    __slots__ = ("items", "pos", "where")
+
     def __init__(self, line: str, where: str) -> None:
-        self.items = _TOKEN.findall(line)
+        # the None sentinel ends every statement, so reads need no bounds check
+        self.items: list[str | None] = _TOKEN.findall(line)
+        self.items.append(None)
         self.pos = 0
         self.where = where
 
     def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        return self.items[self.pos]
 
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.items[self.pos]
         if tok is None:
             raise KbSyntaxError(f"{self.where}: unexpected end of statement")
         self.pos += 1
@@ -85,14 +91,15 @@ class _Tokens:
             raise KbSyntaxError(f"{self.where}: expected {tok!r}, found {got!r}")
 
     def done(self) -> bool:
-        return self.pos >= len(self.items)
+        return self.items[self.pos] is None
 
     def fail(self, message: str) -> KbSyntaxError:
         return KbSyntaxError(f"{self.where}: {message}")
 
 
 def _is_name(tok: str | None) -> bool:
-    return tok is not None and _NAME.match(tok) is not None
+    # the ASCII identifiers are exactly the matches of _NAME
+    return tok is not None and tok.isascii() and tok.isidentifier()
 
 
 def _unquote(tok: str) -> str:
@@ -217,16 +224,19 @@ def _parse_rule(toks: _Tokens) -> RuleSchema:
 
 
 def _strip_line(raw: str) -> str:
-    # comments start outside quotes only
-    out = []
-    in_quote = False
-    for ch in raw:
-        if ch == "'":
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    line = "".join(out).strip()
+    line = raw
+    if "#" in raw:
+        # comments start outside quotes only
+        out = []
+        in_quote = False
+        for ch in raw:
+            if ch == "'":
+                in_quote = not in_quote
+            if ch == "#" and not in_quote:
+                break
+            out.append(ch)
+        line = "".join(out)
+    line = line.strip()
     if line.endswith(".") and not line.endswith(".."):
         line = line[:-1].rstrip()
     return line
@@ -240,7 +250,7 @@ def parse_kb_text(text: str, name: str = "<kb>") -> ParsedFile:
         if not line:
             continue
         where = f"{name}:{lineno}"
-        header = re.fullmatch(r"\*{3}\s*([OP])\s*\*{3}", line)
+        header = _HEADER.fullmatch(line)
         if header:
             section = header.group(1)
             continue
@@ -284,12 +294,7 @@ def parse_kb_text(text: str, name: str = "<kb>") -> ParsedFile:
                 )
             continue
         if section == "O":
-            marker = None
-            for tok in toks.items:
-                if tok in ("[=", "=="):
-                    marker = tok
-                    break
-            if marker is None:
+            if "[=" not in toks.items and "==" not in toks.items:
                 parsed.assertions.append(_parse_assertion(toks))
                 if not toks.done():
                     raise toks.fail(f"unexpected trailing {toks.peek()!r}")

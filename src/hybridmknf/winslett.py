@@ -15,7 +15,7 @@ minimised independently and recombined per separator valuation.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,7 +59,11 @@ class _Decomposition:
                 break
             if len(separator) >= limits.max_separator_atoms:
                 raise ResourceLimit(
-                    "theory needs a larger separator than the configured budget"
+                    "theory needs a larger separator than the configured budget: "
+                    f"EngineLimits.max_separator_atoms = {limits.max_separator_atoms} "
+                    f"leaves a block of {max(len(b) for b in blocks)} atoms, more "
+                    f"than EngineLimits.max_component_atoms = "
+                    f"{limits.max_component_atoms}"
                 )
             degree: dict[int, int] = {}
             for s in sent_atoms:
@@ -111,10 +115,6 @@ class _GroupSolver:
             for a in block:
                 m |= 1 << self.pos[a]
             self.block_masks.append(m)
-        covered = self.sep_mask
-        for m in self.block_masks:
-            covered |= m
-        self.inert_mask = ((1 << len(group_atoms)) - 1) & ~covered
         self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._alive: dict[int, bool] = {}
 
@@ -173,62 +173,177 @@ class _GroupSolver:
         return frozenset(int(x) for x in np.concatenate(chunks))
 
 
-def _minimal_antichain(pairs: dict[int, int]) -> list[tuple[int, int]]:
-    """Pairs whose diff key is inclusion-minimal among all diff keys."""
-    kept: list[tuple[int, int]] = []
-    for d in sorted(pairs, key=lambda d: (d.bit_count(), d)):
-        if any(k & ~d == 0 for k, _ in kept):
-            continue
-        kept.append((d, pairs[d]))
+def _minimal_diffs(diffs: Iterable[int]) -> list[int]:
+    """Inclusion-minimal masks among the given ones, in ascending order.
+
+    A strict subset of a mask is numerically smaller, so a mask is minimal
+    exactly when no mask kept before it lies inside it.
+    """
+    kept: list[int] = []
+    for d in sorted(diffs):
+        if not any(k & ~d == 0 for k in kept):
+            kept.append(d)
     return kept
 
 
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """The ranges 0..c-1 for every c in counts, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+
+
+# Start points minimised per NumPy pass; bounds the candidate arrays.
+_CHUNK_STARTS = 1 << 11
+
+
+class _BlockTable:
+    """Minimal changes of one block, per occurring start value and live
+    separator value.
+
+    The chains are flattened value-major: the chain of value index v under
+    live index l is ``diffs[first[v, l]:first[v, l] + count[v, l]]``.  When
+    several separator values are live, ``cover[i, l]`` says whether some
+    diff of the chain of the same value under live index l lies inside
+    ``diffs[i]``.
+    """
+
+    def __init__(self, values: np.ndarray, chains: list[list[list[int]]]) -> None:
+        self.values = values
+        self.count = np.array(
+            [[len(c) for c in row] for row in chains], dtype=np.int64
+        )
+        flat_count = self.count.ravel()
+        self.first = (np.cumsum(flat_count) - flat_count).reshape(self.count.shape)
+        self.diffs = np.array(
+            [d for row in chains for c in row for d in c], dtype=np.int64
+        )
+        self.cover = None
+        n_live = self.count.shape[1]
+        if n_live > 1:
+            onehot = np.eye(n_live, dtype=bool)
+            rows = np.split(self.diffs, np.cumsum(self.count.sum(axis=1))[:-1])
+            covers = []
+            for d, row_count in zip(rows, self.count):
+                live_of = onehot[np.repeat(np.arange(n_live), row_count)]
+                covers.append(((d[None, :] & ~d[:, None]) == 0) @ live_of)
+            self.cover = np.concatenate(covers)
+
+
 class _UpdateSolver(_GroupSolver):
-    """Adds per-start-point minimisation on top of the block tables."""
+    """Per-start-point minimisation on top of the block tables.
 
-    def __init__(
-        self,
-        group_atoms: tuple[int, ...],
-        sentences: Sequence[Sentence],
-        limits: EngineLimits,
-    ) -> None:
-        super().__init__(group_atoms, sentences, limits)
-        self._antichains: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    For each live separator value e, every start expands into the product of
+    its per-block minimal changes.  No two candidates of one start under one
+    e compare, because the blocks are disjoint and each block offers an
+    antichain.  A candidate under e is therefore dropped exactly when some
+    other live value e' changes a strict subset of the separator bits that e
+    changes and, in every block, offers a minimal change inside the
+    candidate's change for that block.
+    """
 
-    def _block_antichain(self, j: int, e: int, i_block: int) -> list[tuple[int, int]]:
-        """Minimal (diff, model) pairs for one block given the start point."""
-        key = (j, e, i_block)
-        if key not in self._antichains:
-            models = self.block_models(j, e).tolist()
-            self._antichains[key] = _minimal_antichain({m ^ i_block: m for m in models})
-        return self._antichains[key]
+    def _block_table(
+        self, j: int, live: list[int], values: np.ndarray
+    ) -> _BlockTable:
+        models = [self.block_models(j, e) for e in live]
+        chains = [
+            [_minimal_diffs((m ^ v).tolist()) for m in models]
+            for v in values.tolist()
+        ]
+        return _BlockTable(values, chains)
 
-    def updated_models(self, start: int) -> list[int]:
-        """Models of the theory at minimal change from one interpretation."""
-        candidates: dict[int, int] = {}
-        for e in range(1 << len(self.sep_bits)):
-            if not self.alive(e):
-                continue
+    def _start_models(self, start: int, live: list[int]) -> set[int]:
+        """Models at minimal change from one start point, in plain Python."""
+        candidates: set[int] = set()
+        for e in live:
+            chains = [
+                _minimal_diffs(m ^ (start & b) for m in self.block_models(j, e).tolist())
+                for j, b in enumerate(self.block_masks)
+            ]
             d_sep = (start & self.sep_mask) ^ self.sep_value_mask(e)
-            chains = []
-            dead = False
-            for j in range(len(self.dec.blocks)):
-                chain = self._block_antichain(j, e, start & self.block_masks[j])
-                if not chain:
-                    dead = True
-                    break
-                chains.append(chain)
-            if dead:
-                continue
-            base = (start & self.inert_mask) | self.sep_value_mask(e)
             for combo in itertools.product(*chains):
                 d = d_sep
-                model = base
-                for dj, mj in combo:
+                for dj in combo:
                     d |= dj
-                    model |= mj
-                candidates.setdefault(d, model)
-        return [model for _, model in _minimal_antichain(candidates)]
+                candidates.add(d)
+        return {start ^ d for d in _minimal_diffs(candidates)}
+
+    def updated_parts(self, starts: np.ndarray) -> set[int]:
+        """Models of the theory at minimal change from each start point.
+
+        A single start point, the case of every group whose start set is
+        one interpretation, costs less in plain Python than the fixed cost
+        of the vectorised pass.
+        """
+        live = [e for e in range(1 << len(self.sep_bits)) if self.alive(e)]
+        if not live:
+            return set()
+        if len(starts) == 1:
+            batches = [self._start_models(int(starts[0]), live)]
+        else:
+            live_masks = np.array(
+                [self.sep_value_mask(e) for e in live], dtype=np.int64
+            )
+            tables = [
+                self._block_table(j, live, np.unique(starts & m))
+                for j, m in enumerate(self.block_masks)
+            ]
+            batches = (
+                self._chunk_models(
+                    starts[lo:lo + _CHUNK_STARTS], live_masks, tables
+                ).tolist()
+                for lo in range(0, len(starts), _CHUNK_STARTS)
+            )
+        parts: set[int] = set()
+        for batch in batches:
+            parts.update(batch)
+            if len(parts) > self.limits.max_parts:
+                raise ResourceLimit(
+                    f"update produced too many distinct results: at least "
+                    f"{len(parts)}, more than EngineLimits.max_parts = "
+                    f"{self.limits.max_parts}"
+                )
+        return parts
+
+    def _chunk_models(
+        self, chunk: np.ndarray, live_masks: np.ndarray, tables: list[_BlockTable]
+    ) -> np.ndarray:
+        """Every model at minimal change from some start point of the chunk."""
+        at = [
+            np.searchsorted(t.values, chunk & m)
+            for t, m in zip(tables, self.block_masks)
+        ]
+        s_sep = chunk & self.sep_mask
+        out = []
+        for li, e_mask in enumerate(live_masks.tolist()):
+            counts = [t.count[a, li] for t, a in zip(tables, at)]
+            total = np.ones(len(chunk), dtype=np.int64)
+            for c in counts:
+                total *= c
+            owner = np.repeat(np.arange(len(chunk)), total)
+            if not owner.size:
+                continue
+            rest = _ragged_arange(total)
+            diff = s_sep[owner] ^ e_mask
+            entries = []
+            for t, a, c in zip(tables, at, counts):
+                c = c[owner]
+                entry = t.first[a[owner], li] + rest % c
+                rest //= c
+                diff |= t.diffs[entry]
+                entries.append(entry)
+            if len(live_masks) > 1:
+                # live values whose separator change lies inside this one's
+                below = (
+                    (s_sep[:, None] ^ live_masks) & ~(s_sep ^ e_mask)[:, None]
+                ) == 0
+                below[:, li] = False
+                dominated = below[owner]
+                for t, entry in zip(tables, entries):
+                    dominated &= t.cover[entry]
+                keep = ~dominated.any(axis=1)
+                owner, diff = owner[keep], diff[keep]
+            out.append(chunk[owner] ^ diff)
+        return np.concatenate(out) if out else chunk[:0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +378,10 @@ def _expand_starts(
     free = [a for a in group_atoms if a not in covered]
     count <<= len(free)
     if count > limits.max_parts:
-        raise ResourceLimit("update start set is too large to enumerate")
+        raise ResourceLimit(
+            f"update start set is too large to enumerate: {count} starts, "
+            f"more than EngineLimits.max_parts = {limits.max_parts}"
+        )
     arrays = [
         lift_bits(
             np.fromiter(c.parts, dtype=np.int64, count=len(c.parts)),
@@ -316,12 +434,7 @@ def update_with_theory(
                 raise EmptyUpdate("updating theory has no classical models")
             continue
         solver = _UpdateSolver(atoms, in_group, limits)
-        starts = _expand_starts(m_comps, atoms, limits)
-        parts: set[int] = set()
-        for start in starts.tolist():
-            parts.update(solver.updated_models(start))
-            if len(parts) > limits.max_parts:
-                raise ResourceLimit("update produced too many distinct results")
+        parts = solver.updated_parts(_expand_starts(m_comps, atoms, limits))
         if not parts:
             raise EmptyUpdate("updating theory has no classical models")
         out.append(Component(atoms, frozenset(parts)))

@@ -230,7 +230,11 @@ def test_branch_budget():
     kb = HybridKb(sig, Ontology(), loops)
     assert len(static_models(kb)) == 4
     tight = dataclasses.replace(DEFAULT_LIMITS, max_branches=2)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(
+        ResourceLimit,
+        match=r"layer \d+ split into more than 2 branches: 4 branches, "
+        r"more than EngineLimits\.max_branches = 2",
+    ):
         static_models(kb, limits=tight)
 
 

@@ -1,10 +1,11 @@
 """Source hygiene: no unused imports and no unreferenced private names in
-the engine package, and every engine function the benchmark tracer wraps
-still exists."""
+the engine package, every engine function the benchmark tracer wraps
+still exists, and every budget error names the cap that stopped it."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -84,3 +85,48 @@ def test_tracer_targets_exist():
         if attr not in vars(owner)
     ]
     assert not missing, "traced functions not found: " + ", ".join(missing)
+
+
+def _literal_text(node: ast.expr) -> str:
+    """The constant text of a message expression, '{}' for each hole."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(v) for v in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _literal_text(node.left) + _literal_text(node.right)
+    return "{}"
+
+
+def test_every_budget_error_names_its_cap():
+    # a budget error names the EngineLimits field or the module constant
+    # that stopped the work; the exhaustive references in oracle.py are
+    # exempt
+    from hybridmknf.interp import EngineLimits
+
+    fields = [f"EngineLimits.{f.name} =" for f in dataclasses.fields(EngineLimits)]
+    unnamed = []
+    checked = 0
+    for path in MODULES:
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text())
+        caps = [
+            f"{path.stem}.{name} ="
+            for name in _top_level_private(tree)
+            if name.lstrip("_").isupper()
+        ]
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ResourceLimit"
+            ):
+                continue
+            checked += 1
+            text = _literal_text(node.exc.args[0]) if node.exc.args else ""
+            if not any(name in text for name in fields + caps):
+                unnamed.append(f"{path.name}:{node.lineno} {text!r}")
+    assert checked, "no ResourceLimit raise found"
+    assert not unnamed, "budget errors without their cap: " + "; ".join(unnamed)

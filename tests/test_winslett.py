@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from hybridmknf import winslett
 from hybridmknf.errors import EmptyIntersection, EmptyUpdate, ResourceLimit
 from hybridmknf.interp import (
     DEFAULT_LIMITS,
@@ -155,7 +156,12 @@ def test_separator_budget_guard():
         DEFAULT_LIMITS, max_component_atoms=1, max_separator_atoms=0
     )
     chain = [Implies(Atom(a), Atom(a + 1)) for a in range(5)]
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(
+        ResourceLimit,
+        match=r"theory needs a larger separator than the configured budget: "
+        r"EngineLimits\.max_separator_atoms = 0 leaves a block of 6 atoms, "
+        r"more than EngineLimits\.max_component_atoms = 1",
+    ):
         theory_model_set(chain, one)
 
 
@@ -173,6 +179,24 @@ def test_cap_errors_name_the_cap():
         r"more than EngineLimits\.max_parts = 2",
     ):
         update_with_theory(FULL_SET, [Disj((P, Q))], two)
+    # two parts of atom 0 times two values of the free atom 1
+    halves = from_models([0], [frozenset(), frozenset({0})])
+    with pytest.raises(
+        ResourceLimit,
+        match=r"update start set is too large to enumerate: 4 starts, "
+        r"more than EngineLimits\.max_parts = 2",
+    ):
+        update_with_theory(halves, [Disj((P, Q))], two)
+    # the empty start alone has three minimal results; checked with one
+    # start point and with two
+    some = Disj((P, Q, Atom(2)))
+    for models in ([frozenset()], [frozenset(), frozenset({0})]):
+        with pytest.raises(
+            ResourceLimit,
+            match=r"update produced too many distinct results: at least 3, "
+            r"more than EngineLimits\.max_parts = 2",
+        ):
+            update_with_theory(from_models([0, 1, 2], models), [some], two)
 
 
 def test_sequence_identity_and_singleton():
@@ -232,3 +256,119 @@ def test_six_atom_benchmark():
         [1, 2, 5],
         [2, 5],
     ]
+
+
+TIGHT3 = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=3)
+ATOMS8 = range(8)
+UNIT_GROUPS8 = [[a] for a in ATOMS8]
+
+
+def _eight_atom_draws(seed: int, count: int):
+    """Start sets over 8 atoms with many start points, and update theories."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        start = [rnd_objective(rng, ATOMS8) for _ in range(rng.randint(1, 2))]
+        upd = [rnd_objective(rng, ATOMS8) for _ in range(rng.randint(2, 3))]
+        try:
+            draws.append((theory_model_set(start, TIGHT3), upd))
+        except EmptyIntersection:
+            continue
+    return draws
+
+
+def test_update_matches_brute_over_many_start_points(monkeypatch):
+    shapes = []
+    solve = winslett._UpdateSolver.updated_parts
+
+    def recording(self, starts):
+        shapes.append((len(self.dec.separator), len(self.dec.blocks), len(starts)))
+        return solve(self, starts)
+
+    monkeypatch.setattr(winslett._UpdateSolver, "updated_parts", recording)
+    for m, upd in _eight_atom_draws(57, 60):
+        try:
+            want = brute_set_update(
+                denot(m, ATOMS8),
+                denot(theory_model_set(upd), ATOMS8),
+                UNIT_GROUPS8,
+            )
+        except EmptyIntersection:
+            with pytest.raises(EmptyUpdate):
+                update_with_theory(m, upd, TIGHT3)
+            continue
+        assert denot(update_with_theory(m, upd, TIGHT3), ATOMS8) == frozenset(want)
+    assert max(sep for sep, _, _ in shapes) >= 2
+    assert max(blocks for _, blocks, _ in shapes) >= 2
+    assert max(starts for _, _, starts in shapes) >= 32
+
+
+def test_update_is_pointwise_over_start_points():
+    # one start point takes the scalar path and several the vectorised one;
+    # both must give the union of the per-point results
+    for m, upd in _eight_atom_draws(58, 12):
+        try:
+            whole = denot(update_with_theory(m, upd, TIGHT3), ATOMS8)
+        except EmptyUpdate:
+            continue
+        starts = denot(m, ATOMS8)
+        assert len(starts) > 1
+        pointwise = set()
+        for start in starts:
+            one = from_models(list(ATOMS8), [start])
+            pointwise |= denot(update_with_theory(one, upd, TIGHT3), ATOMS8)
+        assert whole == pointwise
+
+
+def test_update_result_does_not_depend_on_chunk_size(monkeypatch):
+    draws = _eight_atom_draws(59, 20)
+    want = []
+    for m, upd in draws:
+        try:
+            want.append(update_with_theory(m, upd, TIGHT3))
+        except EmptyUpdate:
+            want.append(None)
+    for size in (1, 3):
+        monkeypatch.setattr(winslett, "_CHUNK_STARTS", size)
+        for (m, upd), expected in zip(draws, want):
+            if expected is None:
+                with pytest.raises(EmptyUpdate):
+                    update_with_theory(m, upd, TIGHT3)
+            else:
+                assert update_with_theory(m, upd, TIGHT3) == expected
+
+
+# Hand cases over s = 0, a = 1, b = 2 with blocks of one atom: s becomes the
+# separator, and a and b the two blocks.
+ONE_ATOM_BLOCKS = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=1)
+S, A, B = Atom(0), Atom(1), Atom(2)
+
+
+def _hand_update(sentences, starts):
+    dec = winslett._Decomposition(sentences, ONE_ATOM_BLOCKS)
+    assert dec.separator == (0,) and dec.blocks == [(1,), (2,)]
+    m = from_models([0, 1, 2], starts)
+    got = denot(update_with_theory(m, sentences, ONE_ATOM_BLOCKS), [0, 1, 2])
+    want = brute_set_update(
+        starts, denot(theory_model_set(sentences), [0, 1, 2]), [[0], [1], [2]]
+    )
+    assert got == frozenset(want)
+    return got
+
+
+def test_update_drops_candidate_below_smaller_separator_change():
+    # Theory: a, and s -> b.  From {} and from {b}, keeping s false changes
+    # only a.  Setting s true changes s and a, and b from {}: a larger
+    # separator change whose a block contains {a} and whose b block
+    # contains the empty change, so it is dropped.
+    got = _hand_update([A, Implies(S, B)], [frozenset(), frozenset({2})])
+    assert got == {frozenset({1}), frozenset({1, 2})}
+
+
+def test_update_keeps_candidate_when_one_block_has_no_cover():
+    # Same theory.  From {s} and {s, a}, clearing s changes s, a from {s},
+    # and nothing in the b block.  Keeping s changes fewer separator atoms
+    # but must change b, which that empty b change does not contain, so
+    # both results survive.
+    got = _hand_update([A, Implies(S, B)], [frozenset({0}), frozenset({0, 1})])
+    assert got == {frozenset({1}), frozenset({0, 1, 2})}
