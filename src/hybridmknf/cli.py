@@ -75,22 +75,17 @@ def _model_json(m: ModelSet, sig: Signature) -> dict:
         names = [_atom_name(sig, a) for a in comp.atoms]
         entry: dict = {"atoms": names}
         if len(comp.parts) <= _PART_LISTING_CAP:
-            parts = []
-            for part in comp.parts:
-                parts.append(
-                    sorted(n for i, n in enumerate(names) if part >> i & 1)
-                )
-            entry["parts"] = sorted(parts)
+            entry["parts"] = sorted(
+                sorted(n for i, n in enumerate(names) if part >> i & 1)
+                for part in comp.parts.tolist()
+            )
         entry["part_count"] = len(comp.parts)
         components.append(entry)
-        for i, name in enumerate(names):
-            if all(part >> i & 1 for part in comp.parts):
-                known_true.append(name)
-    constrained = {a for comp in m.components for a in comp.atoms}
+        known_true.extend(n for i, n in enumerate(names) if comp.fixed_true >> i & 1)
     return {
         "components": components,
         "known_true": sorted(known_true),
-        "free_atom_count": len(sig.atoms) - len(constrained),
+        "free_atom_count": len(sig.atoms) - len(m.atom_owner),
     }
 
 
@@ -171,17 +166,16 @@ def _solve_command(args: argparse.Namespace) -> tuple[dict, int]:
         "count": len(models),
         "models": [_model_json(m, dkb.sig) for m in models],
     }
-    status = 0 if models else 1
+    ok = bool(models)
+    if args.query is not None:
+        query = parse_query(args.query, dkb.sig)
+        ok = entails(models, query, limits) if models else False
+        payload["holds"] = ok
     if args.oracle:
         payload["oracle"] = _cross_check(dkb, plan, limits, models)
         if payload["oracle"].get("agrees") is False:
-            status = 1
-    if args.query is not None:
-        query = parse_query(args.query, dkb.sig)
-        holds = entails(models, query, limits) if models else False
-        payload["holds"] = holds
-        status = 0 if holds else 1
-    return payload, status
+            ok = False
+    return payload, 0 if ok else 1
 
 
 def _entail_command(args: argparse.Namespace) -> tuple[dict, int]:
@@ -192,11 +186,13 @@ def _entail_command(args: argparse.Namespace) -> tuple[dict, int]:
     models = dynamic_models(dkb, plan, limits)
     if not models:
         return {"holds": False, "reason": "no model"}, 1
-    holds = entails(models, query, limits)
-    payload: dict = {"holds": holds}
+    ok = entails(models, query, limits)
+    payload: dict = {"holds": ok}
     if args.oracle:
         payload["oracle"] = _cross_check(dkb, plan, limits, models)
-    return payload, 0 if holds else 1
+        if payload["oracle"].get("agrees") is False:
+            ok = False
+    return payload, 0 if ok else 1
 
 
 def _split_sets(args: argparse.Namespace, dkb: DynamicHybridKb) -> list[frozenset[str]]:

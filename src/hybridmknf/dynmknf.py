@@ -138,9 +138,7 @@ def _solve(
             elif kind == RULE_LAYER:
                 programs = [layer_rules for _, layer_rules in reduced]
                 for stable in dynamic_stable_models(programs, scope, limits):
-                    extra = [
-                        Component((a,), frozenset((1,))) for a in sorted(stable)
-                    ]
+                    extra = [Component((a,), [1]) for a in sorted(stable)]
                     new_branches.append(
                         (comps + extra, per_layer + [ModelSet(tuple(extra))])
                     )

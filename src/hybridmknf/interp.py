@@ -318,27 +318,51 @@ DEFAULT_LIMITS = EngineLimits()
 # factored model sets
 
 
-@dataclass(frozen=True)
+def sorted_unique(masks: np.ndarray) -> np.ndarray:
+    """The distinct masks in ascending order, as a new int64 array."""
+    out = np.sort(masks.astype(np.int64, copy=False))
+    return out[np.concatenate(([True], out[1:] != out[:-1]))] if out.size else out
+
+
+@dataclass(frozen=True, eq=False)
 class Component:
     """Explicit part set over a small, sorted tuple of atom indices.
 
     Parts are bitmasks relative to the atoms tuple: bit i of a part mask is
-    the truth value of atoms[i].
+    the truth value of atoms[i].  Given as any iterable of masks or an
+    integer array, they are kept as a sorted, unique, read-only int64 array.
     """
 
     atoms: tuple[int, ...]
-    parts: frozenset[int]
+    parts: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("component needs a nonempty scope")
         if tuple(sorted(set(self.atoms))) != self.atoms:
             raise ValueError("component atoms must be sorted and unique")
-        if not self.parts:
+        out_of_range = "part mask out of range for the component scope"
+        raw = self.parts
+        if not isinstance(raw, np.ndarray):
+            try:
+                raw = np.array(list(raw), dtype=np.int64)
+            except OverflowError:
+                raise ValueError(out_of_range) from None
+        parts = sorted_unique(raw)
+        if not parts.size:
             raise ValueError("component needs a nonempty part set")
-        top = 1 << len(self.atoms)
-        if any(p < 0 or p >= top for p in self.parts):
-            raise ValueError("part mask out of range for the component scope")
+        if parts[0] < 0 or int(parts[-1]) >> len(self.atoms):
+            raise ValueError(out_of_range)
+        parts.flags.writeable = False
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Component):
+            return NotImplemented
+        return self.atoms == other.atoms and self.parts.tobytes() == other.parts.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.parts.tobytes()))
 
     @cached_property
     def scope(self) -> frozenset[int]:
@@ -347,18 +371,12 @@ class Component:
     @cached_property
     def fixed_true(self) -> int:
         """Mask of the bits set in every part."""
-        out = (1 << len(self.atoms)) - 1
-        for p in self.parts:
-            out &= p
-        return out
+        return int(np.bitwise_and.reduce(self.parts))
 
     @cached_property
     def fixed_false(self) -> int:
         """Mask of the bits clear in every part."""
-        seen = 0
-        for p in self.parts:
-            seen |= p
-        return (1 << len(self.atoms)) - 1 & ~seen
+        return (1 << len(self.atoms)) - 1 & ~int(np.bitwise_or.reduce(self.parts))
 
     def bit_of(self) -> dict[int, int]:
         return {a: i for i, a in enumerate(self.atoms)}
@@ -380,11 +398,9 @@ class Component:
         keep = tuple(a for a in self.atoms if a in wanted)
         if not keep:
             return None
-        positions = [self.atoms.index(a) for a in keep]
-        parts = frozenset(
-            sum(((p >> pos & 1) << i) for i, pos in enumerate(positions))
-            for p in self.parts
-        )
+        parts = np.zeros(self.parts.shape, dtype=np.int64)
+        for i, a in enumerate(keep):
+            parts |= (self.parts >> self.atoms.index(a) & 1) << i
         return Component(keep, parts)
 
 
@@ -393,9 +409,7 @@ def component_from_models(
 ) -> Component:
     atoms = tuple(sorted(atoms))
     bit = {a: i for i, a in enumerate(atoms)}
-    parts = frozenset(
-        sum(1 << bit[a] for a in model if a in bit) for model in models
-    )
+    parts = [sum(1 << bit[a] for a in model if a in bit) for model in models]
     return Component(atoms, parts)
 
 
@@ -475,7 +489,7 @@ def _interpretations(
     comps: Sequence[Component], free: Sequence[int]
 ) -> Iterator[frozenset[int]]:
     """Every interpretation of the given parts, with the free atoms ranging."""
-    choices = [[c.set_of(p) for p in sorted(c.parts)] for c in comps]
+    choices = [[c.set_of(p) for p in c.parts.tolist()] for c in comps]
     choices.extend([frozenset(), frozenset((a,))] for a in free)
     for combo in itertools.product(*choices):
         yield frozenset().union(*combo)
@@ -537,8 +551,7 @@ def holds_known(
     arrays = []
     shift = 0
     for c in touched:
-        parts = np.fromiter(c.parts, dtype=np.int64, count=len(c.parts))
-        arrays.append(parts << shift)
+        arrays.append(c.parts << shift)
         shift += len(c.atoms)
     if free:
         arrays.append(np.arange(1 << len(free), dtype=np.int64) << shift)
@@ -593,7 +606,7 @@ def satisfies_s5(
 _EXPANSION_CAP = 1 << 22
 
 
-def _interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
+def interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
     """How many interpretations over n_atoms atoms the comps allow, when the
     comps are disjoint and lie among those atoms."""
     total = 1 << (n_atoms - sum(len(c.atoms) for c in comps))
@@ -604,20 +617,10 @@ def _interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
 
 def denotation(m: ModelSet, universe: Sequence[int]) -> set[frozenset[int]]:
     """Explicit expansion of the denoted set over a finite atom universe."""
-    universe = sorted(universe)
-    uni = set(universe)
-    comps = []
-    covered: set[int] = set()
-    for c in m.components:
-        inside = [a for a in c.atoms if a in uni]
-        if len(inside) != len(c.atoms):
-            c = c.project(uni) if inside else None
-            if c is None:
-                continue
-        comps.append(c)
-        covered |= c.scope
-    free = [a for a in universe if a not in covered]
-    total = _interpretation_count(comps, len(uni))
+    uni = frozenset(universe)
+    comps = restrict(m, uni).components
+    free = sorted(uni.difference(*(c.scope for c in comps)))
+    total = interpretation_count(comps, len(uni))
     if total > _EXPANSION_CAP:
         raise ResourceLimit(
             f"denotation expansion of {total} interpretations exceeds "
@@ -647,7 +650,7 @@ def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
         if ca == cb:
             continue
         n = len(group)
-        if _interpretation_count(ca, n) != _interpretation_count(cb, n):
+        if interpretation_count(ca, n) != interpretation_count(cb, n):
             return False
         universe = sorted(group)
         if denotation(ModelSet(tuple(ca)), universe) != denotation(

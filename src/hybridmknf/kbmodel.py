@@ -293,9 +293,6 @@ class RuleSchema:
     def is_positive(self) -> bool:
         return self.head.positive
 
-    def is_fact(self) -> bool:
-        return self.head.positive and not self.body
-
     def variable_sorts(self, sig: Signature) -> dict[str, str]:
         sorts: dict[str, str] = {}
         for atom in self.atoms():

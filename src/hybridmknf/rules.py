@@ -32,9 +32,6 @@ class Rule:
         """Head is an atom; the body may still use default negation."""
         return self.head[0]
 
-    def is_fact(self) -> bool:
-        return self.head[0] and not self.body
-
 
 def render_lit(lit: Lit, sig: Signature) -> str:
     positive, atom = lit

@@ -31,8 +31,10 @@ from .interp import (
     atoms_of,
     eval_objective,
     eval_objective_masks,
+    interpretation_count,
     lift_bits,
     or_product,
+    sorted_unique,
 )
 
 _LONG_BITS = 62
@@ -148,8 +150,8 @@ class _GroupSolver:
             self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
         return self._tables[key]
 
-    def model_parts(self) -> frozenset[int]:
-        """All models of the theory over the group, as explicit part masks."""
+    def model_parts(self) -> np.ndarray:
+        """All models of the theory over the group, as distinct part masks."""
         chunks = []
         total = 0
         for e in range(1 << len(self.sep_bits)):
@@ -170,7 +172,7 @@ class _GroupSolver:
             chunks.append(or_product(arrays, self.sep_value_mask(e)))
         if not chunks:
             raise EmptyIntersection("theory has no classical models")
-        return frozenset(int(x) for x in np.concatenate(chunks))
+        return np.concatenate(chunks)
 
 
 def _minimal_diffs(diffs: Iterable[int]) -> list[int]:
@@ -251,9 +253,9 @@ class _UpdateSolver(_GroupSolver):
         ]
         return _BlockTable(values, chains)
 
-    def _start_models(self, start: int, live: list[int]) -> set[int]:
+    def _start_models(self, start: int, live: list[int]) -> np.ndarray:
         """Models at minimal change from one start point, in plain Python."""
-        candidates: set[int] = set()
+        candidates: list[int] = []
         for e in live:
             chains = [
                 _minimal_diffs(m ^ (start & b) for m in self.block_models(j, e).tolist())
@@ -264,11 +266,11 @@ class _UpdateSolver(_GroupSolver):
                 d = d_sep
                 for dj in combo:
                     d |= dj
-                candidates.add(d)
-        return {start ^ d for d in _minimal_diffs(candidates)}
+                candidates.append(d)
+        return np.array([start ^ d for d in _minimal_diffs(candidates)], dtype=np.int64)
 
-    def updated_parts(self, starts: np.ndarray) -> set[int]:
-        """Models of the theory at minimal change from each start point.
+    def updated_parts(self, starts: np.ndarray) -> np.ndarray:
+        """Models of the theory at minimal change from each start point, sorted.
 
         A single start point, the case of every group whose start set is
         one interpretation, costs less in plain Python than the fixed cost
@@ -276,7 +278,7 @@ class _UpdateSolver(_GroupSolver):
         """
         live = [e for e in range(1 << len(self.sep_bits)) if self.alive(e)]
         if not live:
-            return set()
+            return starts[:0]
         if len(starts) == 1:
             batches = [self._start_models(int(starts[0]), live)]
         else:
@@ -284,25 +286,33 @@ class _UpdateSolver(_GroupSolver):
                 [self.sep_value_mask(e) for e in live], dtype=np.int64
             )
             tables = [
-                self._block_table(j, live, np.unique(starts & m))
+                self._block_table(j, live, sorted_unique(starts & m))
                 for j, m in enumerate(self.block_masks)
             ]
             batches = (
                 self._chunk_models(
                     starts[lo:lo + _CHUNK_STARTS], live_masks, tables
-                ).tolist()
+                )
                 for lo in range(0, len(starts), _CHUNK_STARTS)
             )
-        parts: set[int] = set()
+        # parts: distinct results so far; pending: later batches less those.  They
+        # merge when pending outgrows parts or may pass the budget: counts are exact.
+        parts, pending = starts[:0], []
         for batch in batches:
-            parts.update(batch)
-            if len(parts) > self.limits.max_parts:
-                raise ResourceLimit(
-                    f"update produced too many distinct results: at least "
-                    f"{len(parts)}, more than EngineLimits.max_parts = "
-                    f"{self.limits.max_parts}"
-                )
-        return parts
+            batch = sorted_unique(batch)
+            if parts.size:
+                batch = batch[parts[np.searchsorted(parts[:-1], batch)] != batch]
+            pending.append(batch)
+            bound = parts.size + sum(p.size for p in pending)
+            if bound > min(2 * parts.size, self.limits.max_parts):
+                parts, pending = sorted_unique(np.concatenate([parts, *pending])), []
+                if parts.size > self.limits.max_parts:
+                    raise ResourceLimit(
+                        f"update produced too many distinct results: at least "
+                        f"{parts.size}, more than EngineLimits.max_parts = "
+                        f"{self.limits.max_parts}"
+                    )
+        return sorted_unique(np.concatenate([parts, *pending]))
 
     def _chunk_models(
         self, chunk: np.ndarray, live_masks: np.ndarray, tables: list[_BlockTable]
@@ -370,25 +380,15 @@ def _expand_starts(
 ) -> np.ndarray:
     """All interpretations of the group consistent with the given components."""
     pos = {a: i for i, a in enumerate(group_atoms)}
-    covered: set[int] = set()
-    count = 1
-    for c in m_comps:
-        covered |= c.scope
-        count *= len(c.parts)
+    covered = set().union(*(c.scope for c in m_comps))
     free = [a for a in group_atoms if a not in covered]
-    count <<= len(free)
+    count = interpretation_count(m_comps, len(group_atoms))
     if count > limits.max_parts:
         raise ResourceLimit(
             f"update start set is too large to enumerate: {count} starts, "
             f"more than EngineLimits.max_parts = {limits.max_parts}"
         )
-    arrays = [
-        lift_bits(
-            np.fromiter(c.parts, dtype=np.int64, count=len(c.parts)),
-            [pos[a] for a in c.atoms],
-        )
-        for c in m_comps
-    ]
+    arrays = [lift_bits(c.parts, [pos[a] for a in c.atoms]) for c in m_comps]
     if free:
         fills = np.arange(1 << len(free), dtype=np.int64)
         arrays.append(lift_bits(fills, [pos[a] for a in free]))
@@ -435,9 +435,9 @@ def update_with_theory(
             continue
         solver = _UpdateSolver(atoms, in_group, limits)
         parts = solver.updated_parts(_expand_starts(m_comps, atoms, limits))
-        if not parts:
+        if not parts.size:
             raise EmptyUpdate("updating theory has no classical models")
-        out.append(Component(atoms, frozenset(parts)))
+        out.append(Component(atoms, parts))
     return ModelSet(tuple(out))
 
 

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from hybridmknf import cli
 from hybridmknf.cli import main
 
 CARGO = "corpus/cargo.kb"
@@ -236,6 +237,22 @@ def test_oracle_cross_checks(kbdir):
         "agrees": True,
         "methods": ["alternate-plan"],
     }
+
+
+def test_failed_cross_check_exits_1(kbdir, monkeypatch):
+    # a disagreeing cross-check fails the command even when the query holds
+    disagree = {"checked": True, "agrees": False, "methods": ["exhaustive"]}
+    monkeypatch.setattr(cli, "_cross_check", lambda *args: disagree)
+    tiny = str(kbdir / "tiny.kb")
+    for argv in (
+        ["models", tiny, "--query", "K P(a)"],
+        ["update", tiny, tiny, "--query", "K P(a)"],
+        ["entail", tiny, "--query", "K P(a)"],
+    ):
+        rc, payload = run_json(argv + ["--oracle"])
+        assert rc == 1, argv
+        assert payload["holds"] is True
+        assert payload["oracle"] == disagree
 
 
 def test_resource_limit_exits_2():

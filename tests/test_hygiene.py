@@ -1,6 +1,6 @@
-"""Source hygiene: no unused imports and no unreferenced private names in
-the engine package, every engine function the benchmark tracer wraps
-still exists, and every budget error names the cap that stopped it."""
+"""Source hygiene: no unused imports and no unreferenced names in the
+engine package, every engine function the benchmark tracer wraps still
+exists, and every budget error names the cap that stopped it."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +68,42 @@ def test_every_private_name_is_referenced():
         if not reads.get(private)
     ]
     assert not unreferenced, "unreferenced private names: " + ", ".join(
+        unreferenced
+    )
+
+
+def _reference_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_name_is_referenced():
+    # a public function, class or method that nothing in the engine, the
+    # tests or the benchmark names, outside its own body, is dead code
+    trees = {
+        p: ast.parse(p.read_text())
+        for folder in ("src", "tests", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    }
+    refs = Counter(n for tree in trees.values() for n in _reference_names(tree))
+    unreferenced = []
+    for path in MODULES:
+        defs = []
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs.extend(n for n in node.body if isinstance(n, ast.FunctionDef))
+        for node in defs:
+            inside = sum(1 for n in _reference_names(node) if n == node.name)
+            if not node.name.startswith("_") and refs[node.name] == inside:
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, "unreferenced public names: " + ", ".join(
         unreferenced
     )
 

@@ -7,8 +7,10 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from hybridmknf import dynamic_models, load_sequence
 from hybridmknf.errors import CrossComponentFormula, ResourceLimit
 from hybridmknf.interp import (
     DEFAULT_LIMITS,
@@ -130,6 +132,43 @@ def test_component_helpers():
     assert c.scope == frozenset({2, 5})
     assert c.bit_of() == {2: 0, 5: 1}
     assert c.set_of(c.mask_of(frozenset({2, 5}))) == frozenset({2, 5})
+
+
+def assert_parts_array(c: Component) -> None:
+    assert c.parts.dtype == np.int64 and c.parts.ndim == 1
+    assert not c.parts.flags.writeable
+    assert (np.diff(c.parts) > 0).all()
+
+
+def test_component_parts_are_a_sorted_unique_read_only_array():
+    made = [
+        Component((0, 1, 2), frozenset({5, 1, 3})),
+        Component((0, 1, 2), [3, 5, 1]),
+        Component((0, 1, 2), np.array([5, 1, 3, 1, 5], dtype=np.int32)),
+    ]
+    for c in made:
+        assert_parts_array(c)
+        assert c.parts.tolist() == [1, 3, 5]
+        assert c == made[0] and hash(c) == hash(made[0])
+    assert made[0] != Component((0, 1, 2), [1, 3])
+    assert made[0] != Component((0, 1, 3), [1, 3, 5])
+    with pytest.raises(ValueError):
+        made[0].parts[0] = 7
+    empty = np.array([], dtype=np.int64)
+    for bad in ([], empty, [-1, 3], [1, 8], [1 << 70], np.array([0, 8])):
+        with pytest.raises(ValueError):
+            Component((0, 1, 2), bad)
+
+
+def test_cargo_components_hold_parts_arrays():
+    for paths in (
+        ["corpus/cargo.kb"],
+        ["corpus/cargo.kb", "corpus/cargo_update.kb"],
+    ):
+        (m,) = dynamic_models(load_sequence(paths))
+        assert m.components
+        for c in m.components:
+            assert_parts_array(c)
 
 
 def test_project_reads_a_one_shot_iterable():

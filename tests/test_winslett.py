@@ -14,6 +14,7 @@ from hybridmknf.interp import (
     DEFAULT_LIMITS,
     FULL_SET,
     Atom,
+    Conj,
     Disj,
     Implies,
     Neg,
@@ -336,6 +337,31 @@ def test_update_result_does_not_depend_on_chunk_size(monkeypatch):
                     update_with_theory(m, upd, TIGHT3)
             else:
                 assert update_with_theory(m, upd, TIGHT3) == expected
+
+
+def test_update_budget_counts_results_repeated_across_chunks(monkeypatch):
+    # Exactly one of a, b, c, updating the starts {}, {a, b, c} and {d}, one
+    # start per chunk: the first two chunks give the same three results, the
+    # third three new ones.
+    monkeypatch.setattr(winslett, "_CHUNK_STARTS", 1)
+    one_of = [
+        Disj((Atom(0), Atom(1), Atom(2))),
+        Neg(Conj((Atom(0), Atom(1)))),
+        Neg(Conj((Atom(0), Atom(2)))),
+        Neg(Conj((Atom(1), Atom(2)))),
+    ]
+    starts = [frozenset(), frozenset({0, 1, 2}), frozenset({3})]
+    m = from_models([0, 1, 2, 3], starts)
+    six = dataclasses.replace(DEFAULT_LIMITS, max_parts=6)
+    (c,) = update_with_theory(m, one_of, six).components
+    assert c.parts.tolist() == [1, 2, 4, 9, 10, 12]
+    five = dataclasses.replace(DEFAULT_LIMITS, max_parts=5)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"update produced too many distinct results: at least 6, "
+        r"more than EngineLimits\.max_parts = 5",
+    ):
+        update_with_theory(m, one_of, five)
 
 
 # Hand cases over s = 0, a = 1, b = 2 with blocks of one atom: s becomes the
