@@ -138,7 +138,12 @@ def _solve(
             elif kind == RULE_LAYER:
                 programs = [layer_rules for _, layer_rules in reduced]
                 for stable in dynamic_stable_models(programs, scope, limits):
-                    extra = [Component((a,), [1]) for a in sorted(stable)]
+                    # the atoms known true, as one component whose single
+                    # part sets them all; the rest of the scope stays free
+                    extra = []
+                    if stable:
+                        atoms = tuple(sorted(stable))
+                        extra = [Component(atoms, [(1 << len(atoms)) - 1])]
                     new_branches.append(
                         (comps + extra, per_layer + [ModelSet(tuple(extra))])
                     )

@@ -3,7 +3,10 @@
 Rules are ground, with default negation allowed in bodies and heads.  Truth
 of a default literal is handled by the usual two-sorted reading: "not p"
 becomes an atom of its own, paired with p, and candidate interpretations are
-checked against the least model of the resulting definite program.
+checked against the least model of the resulting definite program.  Each
+search compiles its rules into integer masks once: a rule becomes its stage,
+its head literal, and a positive and a negative body mask.  Every candidate
+is then checked with integer operations alone.
 """
 
 from __future__ import annotations
@@ -62,45 +65,72 @@ def body_holds(rule: Rule, true_atoms: frozenset[int]) -> bool:
     return all((atom in true_atoms) == positive for positive, atom in rule.body)
 
 
-def least_model(rules: Iterable[tuple[Lit, tuple[Lit, ...]]]) -> frozenset[Lit]:
-    """Least model of a definite program over paired literals as atoms."""
-    rules = list(rules)
-    by_token: dict[Lit, list[int]] = {}
-    missing = []
-    heads = []
-    for idx, (head, body) in enumerate(rules):
-        missing.append(len(body))
-        heads.append(head)
-        for tok in body:
-            by_token.setdefault(tok, []).append(idx)
-    true: set[Lit] = set()
-    queue = [heads[i] for i, m in enumerate(missing) if m == 0]
-    while queue:
-        tok = queue.pop()
-        if tok in true:
-            continue
-        true.add(tok)
-        for idx in by_token.get(tok, ()):
-            missing[idx] -= 1
-            if missing[idx] == 0:
-                queue.append(heads[idx])
-    return frozenset(true)
+# (stage, head is positive, head atom mask, positive body mask, negative
+# body mask) of one compiled rule
+_MaskRule = tuple[int, bool, int, int, int]
 
 
-def _candidate_interpretations(
-    rules: Sequence[Rule], scope: frozenset[int]
-) -> Iterable[frozenset[int]]:
+def _compile(
+    programs: Sequence[Sequence[Rule]], scope: frozenset[int] | None
+) -> tuple[list[int], int, list[_MaskRule]]:
+    """One search's programs as integer masks over the atoms.
+
+    The candidate atoms, the positive heads inside the scope, take the
+    lowest bits, so candidate number m is its own mask of true atoms.
+    Returns the candidate atoms, the scope mask and the rules in stage
+    order.
+    """
+    all_rules = [r for prog in programs for r in prog]
+    mentioned = scope_of(all_rules)
+    if scope is None:
+        scope = mentioned
     # only atoms some positive-head rule can derive may be true in a
     # stable model; everything else in the scope is forced false
-    pos_heads = sorted({r.head[1] for r in rules if r.head[0]} & scope)
-    if 1 << len(pos_heads) > _CANDIDATE_CAP:
+    heads = sorted({r.head[1] for r in all_rules if r.head[0]} & scope)
+    if 1 << len(heads) > _CANDIDATE_CAP:
         raise ResourceLimit(
-            f"stable-model search over {len(pos_heads)} candidate atoms "
-            f"(2^{len(pos_heads)} = {1 << len(pos_heads)} candidates) exceeds "
+            f"stable-model search over {len(heads)} candidate atoms "
+            f"(2^{len(heads)} = {1 << len(heads)} candidates) exceeds "
             f"rules._CANDIDATE_CAP = {_CANDIDATE_CAP}"
         )
-    for mask in range(1 << len(pos_heads)):
-        yield frozenset(a for k, a in enumerate(pos_heads) if mask >> k & 1)
+    order = heads + sorted((scope | mentioned) - set(heads))
+    mask = {a: 1 << j for j, a in enumerate(order)}
+    compiled = []
+    for stage, prog in enumerate(programs):
+        for rule in prog:
+            pos = neg = 0
+            for positive, atom in rule.body:
+                if positive:
+                    pos |= mask[atom]
+                else:
+                    neg |= mask[atom]
+            positive, atom = rule.head
+            compiled.append((stage, positive, mask[atom], pos, neg))
+    return heads, sum(mask[a] for a in scope), compiled
+
+
+def _least_model(
+    rules: Sequence[tuple[bool, int, int, int]], true: int, false: int
+) -> tuple[int, int]:
+    """Least model of definite rules over "p" and "not p" as separate atoms,
+    from the given true and false masks.  A rule is (head is positive,
+    head atom mask, positive body mask, negative body mask); its body holds
+    when its positive atoms are true and its negative atoms are false."""
+    while True:
+        before = true, false
+        for positive, atom, pos, neg in rules:
+            if pos & true == pos and neg & false == neg:
+                if positive:
+                    true |= atom
+                else:
+                    false |= atom
+        if (true, false) == before:
+            return true, false
+
+
+def _as_models(heads: Sequence[int], found: Iterable[int]) -> list[frozenset[int]]:
+    models = [frozenset(a for j, a in enumerate(heads) if m >> j & 1) for m in found]
+    return sorted(models, key=sorted)
 
 
 def stable_models(
@@ -108,70 +138,20 @@ def stable_models(
     scope: frozenset[int] | None = None,
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> list[frozenset[int]]:
-    """Stable models of one program over the given scope."""
+    """Stable models of one program over the given scope.
+
+    A candidate is stable when the least model of the program, with every
+    scope atom outside the candidate assumed false, makes exactly the
+    candidate's atoms true and exactly those assumptions false.
+    """
     del limits
-    if scope is None:
-        scope = scope_of(rules)
-    base = [(r.head, r.body) for r in rules]
-    out = []
-    for i in _candidate_interpretations(rules, scope):
-        completion: list[tuple[Lit, tuple[Lit, ...]]] = [
-            ((False, p), ()) for p in scope if p not in i
-        ]
-        expected = frozenset(
-            {(True, p) for p in i} | {(False, p) for p in scope if p not in i}
-        )
-        if least_model(base + completion) == expected:
-            out.append(i)
-    return sorted(out, key=sorted)
-
-
-def latest_firing(
-    programs: Sequence[Sequence[Rule]], true_atoms: frozenset[int]
-) -> dict[Lit, int]:
-    """For each head, the latest stage at which a rule with that head fires.
-
-    A rule fires when the interpretation satisfies its body.  Rejection and
-    default support are both read from this map, so each body is evaluated
-    once per interpretation.
-    """
-    firing: dict[Lit, int] = {}
-    for stage, prog in enumerate(programs):
-        for rule in prog:
-            if body_holds(rule, true_atoms):
-                firing[rule.head] = stage
-    return firing
-
-
-def rejected_occurrences(
-    programs: Sequence[Sequence[Rule]], true_atoms: frozenset[int]
-) -> set[tuple[int, int]]:
-    """(stage, rule position) pairs put out of force in the interpretation.
-
-    An occurrence is rejected when a rule at the same or a later stage has
-    the opposite head and a body the interpretation satisfies.
-    """
-    firing = latest_firing(programs, true_atoms)
-    return {
-        (stage, idx)
-        for stage, prog in enumerate(programs)
-        for idx, rule in enumerate(prog)
-        if firing.get((not rule.head[0], rule.head[1]), -1) >= stage
-    }
-
-
-def default_assumptions(
-    programs: Sequence[Sequence[Rule]],
-    true_atoms: frozenset[int],
-    scope: frozenset[int],
-) -> frozenset[int]:
-    """Atoms assumed false because no rule occurrence at all derives them.
-
-    Rejected occurrences still count here, so an atom whose only support
-    was rejected stays unassumed rather than silently falling back to false.
-    """
-    firing = latest_firing(programs, true_atoms)
-    return frozenset(p for p in scope if (True, p) not in firing)
+    heads, scope_mask, compiled = _compile([rules], scope)
+    program = [(positive, atom, pos, neg) for _, positive, atom, pos, neg in compiled]
+    found = []
+    for i in range(1 << len(heads)):
+        if _least_model(program, 0, scope_mask ^ i) == (i, scope_mask ^ i):
+            found.append(i)
+    return _as_models(heads, found)
 
 
 def dynamic_stable_models(
@@ -179,25 +159,35 @@ def dynamic_stable_models(
     scope: frozenset[int] | None = None,
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> list[frozenset[int]]:
-    """Stable models of a program sequence under conflict-driven rejection."""
+    """Stable models of a program sequence under conflict-driven rejection.
+
+    In a candidate, a rule fires when the candidate satisfies its body,
+    atoms outside the scope being false.  A rule is rejected when a rule
+    with the opposite head fires at its stage or a later one.  A scope atom
+    is assumed false when no rule with it as head fires, rejected or not,
+    so an atom whose only support was rejected is not assumed false.  The
+    candidate is stable when the least model of the rules not rejected,
+    plus those assumptions, makes exactly the candidate's atoms true and
+    every other scope atom false.
+    """
     del limits
-    all_rules = [r for prog in programs for r in prog]
-    if scope is None:
-        scope = scope_of(all_rules)
-    out = []
-    for i in _candidate_interpretations(all_rules, scope):
-        firing = latest_firing(programs, i)
-        # occurrences not rejected, plus the default assumptions
-        reduct: list[tuple[Lit, tuple[Lit, ...]]] = [
-            (rule.head, rule.body)
-            for stage, prog in enumerate(programs)
-            for rule in prog
-            if firing.get((not rule.head[0], rule.head[1]), -1) < stage
+    heads, scope_mask, compiled = _compile(programs, scope)
+    found = []
+    for i in range(1 << len(heads)):
+        latest: dict[tuple[bool, int], int] = {}  # head -> latest firing stage
+        for stage, positive, atom, pos, neg in compiled:
+            if pos & i == pos and not neg & i:
+                latest[positive, atom] = stage
+        kept = [
+            (positive, atom, pos, neg)
+            for stage, positive, atom, pos, neg in compiled
+            if latest.get((not positive, atom), -1) < stage
         ]
-        reduct.extend(((False, p), ()) for p in scope if (True, p) not in firing)
-        expected = frozenset(
-            {(True, p) for p in i} | {(False, p) for p in scope if p not in i}
-        )
-        if least_model(reduct) == expected:
-            out.append(i)
-    return sorted(out, key=sorted)
+        derived = 0
+        for positive, atom in latest:
+            if positive:
+                derived |= atom
+        assumed = scope_mask & ~derived
+        if _least_model(kept, 0, assumed) == (i, scope_mask ^ i):
+            found.append(i)
+    return _as_models(heads, found)

@@ -14,7 +14,6 @@ minimised independently and recombined per separator valuation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -253,48 +252,20 @@ class _UpdateSolver(_GroupSolver):
         ]
         return _BlockTable(values, chains)
 
-    def _start_models(self, start: int, live: list[int]) -> np.ndarray:
-        """Models at minimal change from one start point, in plain Python."""
-        candidates: list[int] = []
-        for e in live:
-            chains = [
-                _minimal_diffs(m ^ (start & b) for m in self.block_models(j, e).tolist())
-                for j, b in enumerate(self.block_masks)
-            ]
-            d_sep = (start & self.sep_mask) ^ self.sep_value_mask(e)
-            for combo in itertools.product(*chains):
-                d = d_sep
-                for dj in combo:
-                    d |= dj
-                candidates.append(d)
-        return np.array([start ^ d for d in _minimal_diffs(candidates)], dtype=np.int64)
-
     def updated_parts(self, starts: np.ndarray) -> np.ndarray:
-        """Models of the theory at minimal change from each start point, sorted.
-
-        A single start point, the case of every group whose start set is
-        one interpretation, costs less in plain Python than the fixed cost
-        of the vectorised pass.
-        """
+        """Models of the theory at minimal change from each start point, sorted."""
         live = [e for e in range(1 << len(self.sep_bits)) if self.alive(e)]
         if not live:
             return starts[:0]
-        if len(starts) == 1:
-            batches = [self._start_models(int(starts[0]), live)]
-        else:
-            live_masks = np.array(
-                [self.sep_value_mask(e) for e in live], dtype=np.int64
-            )
-            tables = [
-                self._block_table(j, live, sorted_unique(starts & m))
-                for j, m in enumerate(self.block_masks)
-            ]
-            batches = (
-                self._chunk_models(
-                    starts[lo:lo + _CHUNK_STARTS], live_masks, tables
-                )
-                for lo in range(0, len(starts), _CHUNK_STARTS)
-            )
+        live_masks = np.array([self.sep_value_mask(e) for e in live], dtype=np.int64)
+        tables = [
+            self._block_table(j, live, sorted_unique(starts & m))
+            for j, m in enumerate(self.block_masks)
+        ]
+        batches = (
+            self._chunk_models(starts[lo:lo + _CHUNK_STARTS], live_masks, tables)
+            for lo in range(0, len(starts), _CHUNK_STARTS)
+        )
         # parts: distinct results so far; pending: later batches less those.  They
         # merge when pending outgrows parts or may pass the budget: counts are exact.
         parts, pending = starts[:0], []

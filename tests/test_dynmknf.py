@@ -4,6 +4,7 @@ exhaustive modal sweep and the two single-character treatments."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from hybridmknf.dynmknf import (
     ONTOLOGY_LAYER,
     P_BASED,
     RULE_LAYER,
+    _solve,
     classify_basic,
     dynamic_models,
     entails,
@@ -33,9 +35,11 @@ from hybridmknf.interp import (
     DEFAULT_LIMITS,
     FULL_SET,
     Atom,
+    Component,
     Known,
     ModelSet,
     NotKnown,
+    model_sets_equal,
 )
 from hybridmknf.kbmodel import (
     TOP,
@@ -50,7 +54,7 @@ from hybridmknf.kbmodel import (
     SchemaLiteral,
     single_stage,
 )
-from hybridmknf.oracle import brute_mknf_models
+from hybridmknf.oracle import brute_dynamic_stable_models, brute_mknf_models
 from hybridmknf.parser import load_sequence, parse_query
 from hybridmknf.rules import dynamic_stable_models
 from hybridmknf.splitting import LayerPlan, suggest_plan
@@ -175,6 +179,77 @@ def test_rule_sequence_matches_stable_up_sets():
         )
         want = frozenset(upset(s, atoms) for s in stable)
         assert denot_family(dynamic_models(dkb), atoms) == want
+
+
+def _programs_style(rng: random.Random, heads: int) -> DynamicHybridKb:
+    """A rule-only sequence: three even negative loops and rules chained on
+    earlier atoms first, then updates with not heads and negative bodies."""
+    sig = unary_sig(heads)
+    atom = [f"P{a}" for a in range(heads)]
+    rng.shuffle(atom)
+    first = []
+    for j in range(0, 6, 2):
+        a, b = atom[j], atom[j + 1]
+        first.append(RuleSchema(lit(a), (lit(b, False),)))
+        first.append(RuleSchema(lit(b), (lit(a, False),)))
+    for j in range(6, heads):
+        body = tuple(lit(rng.choice(atom[:j]), rng.random() < 0.6) for _ in range(2))
+        first.append(RuleSchema(lit(atom[j]), body))
+    stages = [first]
+    for _ in range(rng.randint(1, 2)):
+        stages.append(
+            [
+                RuleSchema(lit(rng.choice(atom), head), (lit(rng.choice(atom), not head),))
+                for head in (False, False, True)
+            ]
+        )
+    return DynamicHybridKb(
+        sig, tuple(HybridKb(sig, Ontology(), tuple(prog)) for prog in stages)
+    )
+
+
+def _rule_layer_answers(dkb: DynamicHybridKb, plan: LayerPlan | None = None):
+    """The true atoms of each answer's rule layers.  On the way, checks that
+    every rule layer's stable model is one component holding the single
+    all-ones part (none when no atom is true), and that each answer denotes
+    what it does with one 1-part component per true atom instead."""
+    plan = plan or suggest_plan(dkb)
+    kinds = layer_kinds(dkb, plan)
+    assert RULE_LAYER in kinds
+    out = []
+    for m, per_layer in _solve(dkb, plan, DEFAULT_LIMITS):
+        per_atom = []
+        for kind, layer in zip(kinds, per_layer):
+            if kind != RULE_LAYER:
+                per_atom.extend(layer.components)
+                continue
+            assert len(layer.components) <= 1
+            for comp in layer.components:
+                assert comp.parts.tolist() == [(1 << len(comp.atoms)) - 1]
+            per_atom.extend(Component((a,), [1]) for a in sorted(layer.scope))
+        assert model_sets_equal(m, ModelSet(tuple(per_atom)))
+        out.append(
+            [layer.scope for kind, layer in zip(kinds, per_layer) if kind == RULE_LAYER]
+        )
+    return out
+
+
+def test_rule_layer_stable_model_is_one_component():
+    rng = random.Random(75)
+    for _ in range(12):
+        dkb = _programs_style(rng, 8)
+        programs = [[(r.head, r.body) for r in kb.ground_rules()] for kb in dkb.stages]
+        want = brute_dynamic_stable_models(programs, range(8))
+        # one rule layer, its stable models in ascending order of their
+        # sorted atom lists, as the search returns them
+        whole = LayerPlan((frozenset(dkb.sig.predicates),))
+        assert _rule_layer_answers(dkb, whole) == [[s] for s in sorted(want, key=sorted)]
+    cargo = load_sequence(["corpus/cargo.kb"])
+    with open("corpus/cargo_plan.json") as fh:
+        plan = LayerPlan.from_json(json.load(fh))
+    assert len(_rule_layer_answers(cargo, plan)) == 1
+    updated = load_sequence(["corpus/cargo.kb", "corpus/cargo_update.kb"])
+    assert len(_rule_layer_answers(updated)) == 1
 
 
 def test_static_solutions_chain_shape():

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports and no unreferenced names in the
-engine package, every engine function the benchmark tracer wraps still
-exists, and every budget error names the cap that stopped it."""
+engine package, the oracle imported only where the engine is allowed to
+call it, every engine function the benchmark tracer wraps still exists,
+and every budget error names the cap that stopped it."""
 
 from __future__ import annotations
 
@@ -106,6 +107,47 @@ def test_every_public_name_is_referenced():
     assert not unreferenced, "unreferenced public names: " + ", ".join(
         unreferenced
     )
+
+
+def _names_oracle(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("hybridmknf.oracle") for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if module in ("oracle", "hybridmknf.oracle"):
+        return True
+    return module in ("", "hybridmknf") and any(a.name == "oracle" for a in node.names)
+
+
+def _oracle_imports(tree: ast.Module, stem: str) -> list[tuple[str, int]]:
+    """(enclosing function or class, dotted, or the module) and line of
+    each import of the oracle module."""
+    out = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            if _names_oracle(child):
+                out.append((owner, child.lineno))
+            visit(child, inner)
+
+    visit(tree, stem)
+    return out
+
+
+def test_oracle_is_imported_only_where_the_engine_may_call_it():
+    # the engine calls the exhaustive references in two places: mixed layers
+    # of at most four atoms, and the CLI cross-check; no new caller may join
+    allowed = {"dynmknf._direct_layer_models", "cli._cross_check"}
+    found = [
+        (owner, f"{path.name}:{line}")
+        for path in sorted(SRC.glob("*.py"))
+        for owner, line in _oracle_imports(ast.parse(path.read_text()), path.stem)
+    ]
+    assert {owner for owner, _ in found} == allowed, found
 
 
 def test_tracer_targets_exist():

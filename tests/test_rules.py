@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmknf.errors import ResourceLimit
 from hybridmknf.interp import Signature
@@ -14,10 +15,7 @@ from hybridmknf.rules import (
     Rule,
     body_holds,
     conflicting,
-    default_assumptions,
     dynamic_stable_models,
-    least_model,
-    rejected_occurrences,
     render_rule,
     scope_of,
     stable_models,
@@ -35,17 +33,6 @@ def _sets(models):
 
 def _raw(rules):
     return [(r.head, r.body) for r in rules]
-
-
-def test_least_model_examples():
-    assert least_model([((T, P), ()), ((T, Q), ((T, P),))]) == frozenset(
-        {(T, P), (T, Q)}
-    )
-    # negative literals are opaque tokens at this level
-    assert least_model([((T, P), ((F, Q),)), ((F, Q), ())]) == frozenset(
-        {(T, P), (F, Q)}
-    )
-    assert least_model([((T, P), ((T, Q),))]) == frozenset()
 
 
 def test_conflicting_rules():
@@ -87,11 +74,6 @@ def test_stable_models_match_oracle():
 def test_dynamic_intro_example():
     intro = [[Rule((T, P), ((T, Q),)), Rule((T, Q), ())], [Rule((F, Q), ())]]
     assert dynamic_stable_models(intro) == [frozenset()]
-    # the original fact for q is the single rejected occurrence
-    assert rejected_occurrences(intro, frozenset()) == {(0, 1)}
-    assert default_assumptions(intro, frozenset(), frozenset({P, Q})) == frozenset(
-        {P}
-    )
 
 
 def test_dynamic_conflict_in_final_stage():
@@ -119,6 +101,37 @@ def test_dynamic_matches_oracle():
         got = set(dynamic_stable_models(progs, frozenset(range(4))))
         want = set(brute_dynamic_stable_models([_raw(p) for p in progs], range(4)))
         assert got == want
+
+
+ATOMS6 = range(6)
+_lits = st.tuples(st.booleans(), st.sampled_from(ATOMS6))
+_rules = st.builds(Rule, _lits, st.lists(_lits, max_size=3).map(tuple))
+
+
+@st.composite
+def _sequences(draw):
+    """1-3 stages over up to 6 atoms, a scope that may leave some of them
+    out (or None), and sometimes an even negative loop in the first stage."""
+    programs = draw(st.lists(st.lists(_rules, max_size=5), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        p, q = draw(st.permutations(ATOMS6))[:2]
+        programs[0] += [Rule((T, p), ((F, q),)), Rule((T, q), ((F, p),))]
+    scope = draw(st.none() | st.frozensets(st.sampled_from(ATOMS6)))
+    return programs, scope
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_sequences())
+def test_mask_search_matches_oracle(case):
+    programs, scope = case
+    rules = [r for prog in programs for r in prog]
+    swept = sorted(scope_of(rules) if scope is None else scope)
+    want = brute_dynamic_stable_models([_raw(p) for p in programs], swept)
+    assert dynamic_stable_models(programs, scope) == sorted(want, key=sorted)
+    first = programs[0]
+    swept = sorted(scope_of(first) if scope is None else scope)
+    want = brute_stable_models(_raw(first), swept)
+    assert stable_models(first, scope) == sorted(want, key=sorted)
 
 
 def test_dynamic_models_satisfy_newest_program():

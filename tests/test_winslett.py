@@ -305,8 +305,8 @@ def test_update_matches_brute_over_many_start_points(monkeypatch):
 
 
 def test_update_is_pointwise_over_start_points():
-    # one start point takes the scalar path and several the vectorised one;
-    # both must give the union of the per-point results
+    # the update of a start set must be the union of the updates of its
+    # single points, each of which also takes the vectorised pass
     for m, upd in _eight_atom_draws(58, 12):
         try:
             whole = denot(update_with_theory(m, upd, TIGHT3), ATOMS8)
