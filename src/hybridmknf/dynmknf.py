@@ -22,6 +22,7 @@ from .interp import (
     Sentence,
     component_from_models,
     model_sets_equal,
+    restrict,
     satisfies,
 )
 from .kbmodel import DynamicHybridKb, HybridKb, modal_rule, single_stage
@@ -39,27 +40,6 @@ from .splitting import (
 from .winslett import sequence_update_model
 
 _DIRECT_LAYER_ATOMS = 4
-
-O_BASED = "ontology-based"
-P_BASED = "rules-based"
-NOT_BASIC = "not-basic"
-
-
-def classify_basic(dkb: DynamicHybridKb) -> str:
-    """Whether every stage is fact-only rules, empty ontologies, or neither.
-
-    A sequence qualifying both ways reports ontology-based; the two
-    treatments agree on such input.
-    """
-    if all(
-        schema.head.positive and not schema.body
-        for kb in dkb.stages
-        for schema in kb.program
-    ):
-        return O_BASED
-    if all(kb.ontology.is_empty() for kb in dkb.stages):
-        return P_BASED
-    return NOT_BASIC
 
 
 def layer_kinds(dkb: DynamicHybridKb, plan: LayerPlan) -> list[str]:
@@ -87,17 +67,24 @@ def _direct_layer_models(
     ]
 
 
-def _solve(
+def dynamic_models(
     dkb: DynamicHybridKb,
-    plan: LayerPlan | None,
-    limits: EngineLimits,
-) -> list[tuple[ModelSet, tuple[ModelSet, ...]]]:
+    plan: LayerPlan | None = None,
+    limits: EngineLimits = DEFAULT_LIMITS,
+) -> list[ModelSet]:
+    """All models of the sequence under a layer plan.
+
+    With a single stage this computes the models of that base alone.  Layers
+    that mix ontology and rule content are only solved directly when they are
+    tiny and the sequence has one stage; otherwise they raise MixedLayer or,
+    for longer sequences, NotUpdateEnabling.
+    """
     if plan is None:
         plan = suggest_plan(dkb)
     plan.validate(dkb)
     sig = dkb.sig
     n_stages = len(dkb.stages)
-    branches: list[tuple[list[Component], list[ModelSet]]] = [([], [])]
+    branches: list[list[Component]] = [[]]
     for layer_idx, (lo, hi) in enumerate(plan.slices()):
         scope = sig.atoms_of_preds(hi - lo)
         slices = [slice_stage(kb, lo, hi) for kb in dkb.stages]
@@ -113,8 +100,8 @@ def _solve(
                 f"{len(scope)} atoms, too many to solve directly"
             )
 
-        new_branches: list[tuple[list[Component], list[ModelSet]]] = []
-        for comps, per_layer in branches:
+        new_branches: list[list[Component]] = []
+        for comps in branches:
             prefix = ModelSet(tuple(comps))
             reduced = [reduce_stage(s, lo, prefix, limits) for s in slices]
             if kind == ONTOLOGY_LAYER:
@@ -132,9 +119,7 @@ def _solve(
                     if n_stages == 1:
                         continue
                     raise
-                new_branches.append(
-                    (comps + list(x.components), per_layer + [x])
-                )
+                new_branches.append(comps + list(x.components))
             elif kind == RULE_LAYER:
                 programs = [layer_rules for _, layer_rules in reduced]
                 for stable in dynamic_stable_models(programs, scope, limits):
@@ -144,17 +129,13 @@ def _solve(
                     if stable:
                         atoms = tuple(sorted(stable))
                         extra = [Component(atoms, [(1 << len(atoms)) - 1])]
-                    new_branches.append(
-                        (comps + extra, per_layer + [ModelSet(tuple(extra))])
-                    )
+                    new_branches.append(comps + extra)
             else:
                 sentences, layer_rules = reduced[0]
                 modal = [Known(s) for s in sentences]
                 modal.extend(modal_rule(r) for r in layer_rules)
                 for comp in _direct_layer_models(modal, sorted(scope)):
-                    new_branches.append(
-                        (comps + [comp], per_layer + [ModelSet((comp,))])
-                    )
+                    new_branches.append(comps + [comp])
         if len(new_branches) > limits.max_branches:
             raise ResourceLimit(
                 f"layer {layer_idx} split into more than "
@@ -164,28 +145,13 @@ def _solve(
         branches = new_branches
 
     newest = dkb.newest().modal_sentences()
-    out: list[tuple[ModelSet, tuple[ModelSet, ...]]] = []
-    for comps, per_layer in branches:
+    out: list[ModelSet] = []
+    for comps in branches:
         m = ModelSet(tuple(comps))
         if all(satisfies(m, s, limits) for s in newest):
-            if not any(model_sets_equal(m, seen) for seen, _ in out):
-                out.append((m, tuple(per_layer)))
+            if not any(model_sets_equal(m, seen) for seen in out):
+                out.append(m)
     return out
-
-
-def dynamic_models(
-    dkb: DynamicHybridKb,
-    plan: LayerPlan | None = None,
-    limits: EngineLimits = DEFAULT_LIMITS,
-) -> list[ModelSet]:
-    """All models of the sequence under a layer plan.
-
-    With a single stage this computes the models of that base alone.  Layers
-    that mix ontology and rule content are only solved directly when they are
-    tiny and the sequence has one stage; otherwise they raise MixedLayer or,
-    for longer sequences, NotUpdateEnabling.
-    """
-    return [m for m, _ in _solve(dkb, plan, limits)]
 
 
 def static_models(
@@ -202,9 +168,18 @@ def static_solutions(
     plan: LayerPlan | None = None,
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> list[tuple[tuple[ModelSet, ...], ModelSet]]:
-    """Per-layer solution chains paired with their combined model."""
+    """Per-layer solution chains paired with their combined model.
+
+    Every layer's components lie within the atoms of its own predicates, so
+    each chain element is the combined model restricted to those atoms.
+    """
+    dkb = single_stage(kb)
+    if plan is None:
+        plan = suggest_plan(dkb)
+    scopes = [dkb.sig.atoms_of_preds(hi - lo) for lo, hi in plan.slices()]
     return [
-        (per_layer, m) for m, per_layer in _solve(single_stage(kb), plan, limits)
+        (tuple(restrict(m, scope) for scope in scopes), m)
+        for m in dynamic_models(dkb, plan, limits)
     ]
 
 

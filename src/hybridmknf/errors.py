@@ -26,7 +26,8 @@ class EmptyIntersection(HybridMknfError):
 
 
 class CrossComponentFormula(HybridMknfError):
-    """A query formula touches atoms of more than one component."""
+    """A query formula spans several components whose joint enumeration
+    exceeds the configured budget."""
 
 
 class EmptyUpdate(HybridMknfError):

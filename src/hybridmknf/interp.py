@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -378,20 +378,6 @@ class Component:
         """Mask of the bits clear in every part."""
         return (1 << len(self.atoms)) - 1 & ~int(np.bitwise_or.reduce(self.parts))
 
-    def bit_of(self) -> dict[int, int]:
-        return {a: i for i, a in enumerate(self.atoms)}
-
-    def mask_of(self, true_atoms: Iterable[int]) -> int:
-        bit = self.bit_of()
-        m = 0
-        for a in true_atoms:
-            if a in bit:
-                m |= 1 << bit[a]
-        return m
-
-    def set_of(self, mask: int) -> frozenset[int]:
-        return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
-
     def project(self, atoms: Iterable[int]) -> "Component | None":
         """Component over the given subset of this scope, or None if disjoint."""
         wanted = set(atoms)
@@ -469,9 +455,13 @@ def restrict(m: ModelSet, atoms: frozenset[int]) -> ModelSet:
     return ModelSet(tuple(out))
 
 
-def lift_bits(masks: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Move bit i of every mask to bit positions[i]."""
-    out = np.zeros(masks.shape, dtype=np.int64)
+def lift_bits(masks: np.ndarray, positions: list[int]) -> np.ndarray:
+    """Move bit i of every mask to bit positions[i]: one shift when the
+    positions run contiguously upwards."""
+    first = positions[0] if positions else 0
+    if positions == list(range(first, first + len(positions))):
+        return masks << first
+    out = np.zeros(masks.shape, dtype=masks.dtype)
     for i, pos in enumerate(positions):
         out |= ((masks >> i) & 1) << pos
     return out
@@ -485,14 +475,24 @@ def or_product(arrays: Iterable[np.ndarray], base: int = 0) -> np.ndarray:
     return combined
 
 
-def _interpretations(
-    comps: Sequence[Component], free: Sequence[int]
-) -> Iterator[frozenset[int]]:
-    """Every interpretation of the given parts, with the free atoms ranging."""
-    choices = [[c.set_of(p) for p in c.parts.tolist()] for c in comps]
-    choices.extend([frozenset(), frozenset((a,))] for a in free)
-    for combo in itertools.product(*choices):
-        yield frozenset().union(*combo)
+def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
+    """Masks over the given atom order, bit i for atoms[i], of every
+    interpretation the disjoint comps allow, with the other atoms free.
+
+    Every component must lie among the atoms.  The masks are distinct and
+    come in product order; past 62 atoms they are Python ints in an object
+    array.
+    """
+    wide = len(atoms) > 62
+    free = {a: i for i, a in enumerate(atoms)}
+    arrays = []
+    for c in comps:
+        parts = c.parts.astype(object) if wide else c.parts
+        arrays.append(lift_bits(parts, [free.pop(a) for a in c.atoms]))
+    if free:
+        fills = np.arange(1 << len(free), dtype=object if wide else np.int64)
+        arrays.append(lift_bits(fills, list(free.values())))
+    return or_product(arrays)
 
 
 def holds_known(
@@ -523,7 +523,9 @@ def holds_known(
     if cost > limits.max_parts:
         if len(touched) > 1:
             raise CrossComponentFormula(
-                "formula spans components whose joint enumeration exceeds the budget"
+                f"formula spans {len(touched)} components whose joint enumeration "
+                f"of {cost:.0f} interpretations exceeds EngineLimits.max_parts = "
+                f"{limits.max_parts}"
             )
         raise ResourceLimit(
             f"query enumeration over {cost:.0f} interpretations exceeds "
@@ -540,22 +542,9 @@ def holds_known(
         fixed = touched[0].fixed_false if negated else touched[0].fixed_true
         return bool(fixed >> owner[literal.index][1] & 1)
 
-    atoms: tuple[int, ...] = ()
-    for c in touched:
-        atoms += c.atoms
-    atoms += tuple(free)
-    if len(atoms) > 62:
-        return all(eval_objective(sent, i) for i in _interpretations(touched, free))
-
+    atoms = [a for c in touched for a in c.atoms] + free
     bit = {a: i for i, a in enumerate(atoms)}
-    arrays = []
-    shift = 0
-    for c in touched:
-        arrays.append(c.parts << shift)
-        shift += len(c.atoms)
-    if free:
-        arrays.append(np.arange(1 << len(free), dtype=np.int64) << shift)
-    return bool(eval_objective_masks(sent, bit, or_product(arrays)).all())
+    return bool(eval_objective_masks(sent, bit, expand(touched, atoms)).all())
 
 
 def holds_not(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
@@ -615,18 +604,37 @@ def interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
     return total
 
 
-def denotation(m: ModelSet, universe: Sequence[int]) -> set[frozenset[int]]:
-    """Explicit expansion of the denoted set over a finite atom universe."""
-    uni = frozenset(universe)
-    comps = restrict(m, uni).components
-    free = sorted(uni.difference(*(c.scope for c in comps)))
-    total = interpretation_count(comps, len(uni))
+def _capped_expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
+    """expand, refused past interp._EXPANSION_CAP interpretations."""
+    total = interpretation_count(comps, len(atoms))
     if total > _EXPANSION_CAP:
         raise ResourceLimit(
-            f"denotation expansion of {total} interpretations exceeds "
+            f"model set expansion of {total} interpretations exceeds "
             f"interp._EXPANSION_CAP = {_EXPANSION_CAP}"
         )
-    return set(_interpretations(comps, free))
+    return expand(comps, atoms)
+
+
+def denotation(m: ModelSet, universe: Iterable[int]) -> set[frozenset[int]]:
+    """Explicit expansion of the denoted set over a finite atom universe."""
+    atoms = sorted(set(universe))
+    masks = _capped_expand(restrict(m, frozenset(atoms)).components, atoms)
+    return {
+        frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+        for mask in masks.tolist()
+    }
+
+
+def _fixed_atoms(comps: Sequence[Component]) -> tuple[frozenset[int], frozenset[int]]:
+    """The atoms set true, and those set false, in every part of their
+    component."""
+    true: list[int] = []
+    false: list[int] = []
+    for c in comps:
+        t, f = c.fixed_true, c.fixed_false
+        true.extend(a for i, a in enumerate(c.atoms) if t >> i & 1)
+        false.extend(a for i, a in enumerate(c.atoms) if f >> i & 1)
+    return frozenset(true), frozenset(false)
 
 
 def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
@@ -635,8 +643,9 @@ def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
     Both sets are products of nonempty factors, so they are equal exactly
     when they agree on every group of atoms that their component scopes
     link.  A group is skipped when both sides hold the same components
-    there, is unequal when the two sides count different interpretations
-    over it, and is otherwise expanded over its own atoms alone.
+    there, and is unequal when the two sides fix different atoms or count
+    different interpretations over it; otherwise both sides are expanded
+    over its own atoms alone and their sorted masks compared.
     """
     groups = union_find_groups(c.atoms for c in a.components + b.components)
     group_of = {x: i for i, g in enumerate(groups) for x in g}
@@ -649,12 +658,14 @@ def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
     for group, (ca, cb) in zip(groups, sides):
         if ca == cb:
             continue
+        if _fixed_atoms(ca) != _fixed_atoms(cb):
+            return False
         n = len(group)
         if interpretation_count(ca, n) != interpretation_count(cb, n):
             return False
-        universe = sorted(group)
-        if denotation(ModelSet(tuple(ca)), universe) != denotation(
-            ModelSet(tuple(cb)), universe
+        atoms = sorted(group)
+        if not np.array_equal(
+            np.sort(_capped_expand(ca, atoms)), np.sort(_capped_expand(cb, atoms))
         ):
             return False
     return True

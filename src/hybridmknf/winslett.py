@@ -30,6 +30,7 @@ from .interp import (
     atoms_of,
     eval_objective,
     eval_objective_masks,
+    expand,
     interpretation_count,
     lift_bits,
     or_product,
@@ -117,23 +118,12 @@ class _GroupSolver:
                 m |= 1 << self.pos[a]
             self.block_masks.append(m)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
-        self._alive: dict[int, bool] = {}
-
-    def sep_value_mask(self, e: int) -> int:
-        m = 0
-        for i, b in enumerate(self.sep_bits):
-            if e >> i & 1:
-                m |= 1 << b
-        return m
-
-    def alive(self, e: int) -> bool:
-        if e not in self._alive:
-            true_sep = frozenset(
-                a for i, a in enumerate(self.dec.separator) if e >> i & 1
-            )
-            ok = all(eval_objective(g, true_sep) for g in self.dec.guards)
-            self._alive[e] = ok
-        return self._alive[e]
+        # separator values that satisfy the guards, and their group masks
+        live = np.arange(1 << len(self.sep_bits), dtype=np.int64)
+        bit_of = {a: i for i, a in enumerate(self.dec.separator)}
+        for g in self.dec.guards:
+            live = live[eval_objective_masks(g, bit_of, live)]
+        self.live, self.live_masks = live.tolist(), lift_bits(live, self.sep_bits)
 
     def block_models(self, j: int, e: int) -> np.ndarray:
         """Models of block j under separator valuation e, in group bit space."""
@@ -153,9 +143,7 @@ class _GroupSolver:
         """All models of the theory over the group, as distinct part masks."""
         chunks = []
         total = 0
-        for e in range(1 << len(self.sep_bits)):
-            if not self.alive(e):
-                continue
+        for e, e_mask in zip(self.live, self.live_masks.tolist()):
             arrays = [self.block_models(j, e) for j in range(len(self.dec.blocks))]
             if any(a.size == 0 for a in arrays):
                 continue
@@ -168,7 +156,7 @@ class _GroupSolver:
                     f"theory has too many models to enumerate: at least {total}, "
                     f"more than EngineLimits.max_parts = {self.limits.max_parts}"
                 )
-            chunks.append(or_product(arrays, self.sep_value_mask(e)))
+            chunks.append(or_product(arrays, e_mask))
         if not chunks:
             raise EmptyIntersection("theory has no classical models")
         return np.concatenate(chunks)
@@ -254,16 +242,14 @@ class _UpdateSolver(_GroupSolver):
 
     def updated_parts(self, starts: np.ndarray) -> np.ndarray:
         """Models of the theory at minimal change from each start point, sorted."""
-        live = [e for e in range(1 << len(self.sep_bits)) if self.alive(e)]
-        if not live:
+        if not self.live:
             return starts[:0]
-        live_masks = np.array([self.sep_value_mask(e) for e in live], dtype=np.int64)
         tables = [
-            self._block_table(j, live, sorted_unique(starts & m))
+            self._block_table(j, self.live, sorted_unique(starts & m))
             for j, m in enumerate(self.block_masks)
         ]
         batches = (
-            self._chunk_models(starts[lo:lo + _CHUNK_STARTS], live_masks, tables)
+            self._chunk_models(starts[lo:lo + _CHUNK_STARTS], self.live_masks, tables)
             for lo in range(0, len(starts), _CHUNK_STARTS)
         )
         # parts: distinct results so far; pending: later batches less those.  They
@@ -350,20 +336,13 @@ def _expand_starts(
     limits: EngineLimits,
 ) -> np.ndarray:
     """All interpretations of the group consistent with the given components."""
-    pos = {a: i for i, a in enumerate(group_atoms)}
-    covered = set().union(*(c.scope for c in m_comps))
-    free = [a for a in group_atoms if a not in covered]
     count = interpretation_count(m_comps, len(group_atoms))
     if count > limits.max_parts:
         raise ResourceLimit(
             f"update start set is too large to enumerate: {count} starts, "
             f"more than EngineLimits.max_parts = {limits.max_parts}"
         )
-    arrays = [lift_bits(c.parts, [pos[a] for a in c.atoms]) for c in m_comps]
-    if free:
-        fills = np.arange(1 << len(free), dtype=np.int64)
-        arrays.append(lift_bits(fills, [pos[a] for a in free]))
-    return or_product(arrays)
+    return expand(m_comps, group_atoms)
 
 
 def update_with_theory(

@@ -11,13 +11,8 @@ import pytest
 
 from hybridmknf.dynmknf import (
     MIXED_LAYER,
-    NOT_BASIC,
-    O_BASED,
     ONTOLOGY_LAYER,
-    P_BASED,
     RULE_LAYER,
-    _solve,
-    classify_basic,
     dynamic_models,
     entails,
     is_update_enabling,
@@ -40,6 +35,7 @@ from hybridmknf.interp import (
     ModelSet,
     NotKnown,
     model_sets_equal,
+    restrict,
 )
 from hybridmknf.kbmodel import (
     TOP,
@@ -57,7 +53,7 @@ from hybridmknf.kbmodel import (
 from hybridmknf.oracle import brute_dynamic_stable_models, brute_mknf_models
 from hybridmknf.parser import load_sequence, parse_query
 from hybridmknf.rules import dynamic_stable_models
-from hybridmknf.splitting import LayerPlan, suggest_plan
+from hybridmknf.splitting import LayerPlan, layer_kind, suggest_plan
 from hybridmknf.winslett import sequence_update_model
 
 from helpers import denot, denot_family, rnd_hybrid_kb, unary_sig, upset
@@ -71,23 +67,27 @@ def fact(pred: str) -> RuleSchema:
     return RuleSchema(lit(pred))
 
 
-def test_classify_basic():
+def test_layer_kind_of_whole_bases():
+    # a whole base read as one layer with nothing below it
+    def kind(kb: HybridKb) -> str:
+        return layer_kind(single_stage(kb).stages, frozenset())
+
     sig = unary_sig(2)
     facts_and_axioms = HybridKb(
         sig, Ontology((Axiom(ConceptName("P0"), ConceptName("P1")),), ()), (fact("P0"),)
     )
-    assert classify_basic(single_stage(facts_and_axioms)) == O_BASED
+    assert kind(facts_and_axioms) == ONTOLOGY_LAYER
     rules_only = HybridKb(sig, Ontology(), (RuleSchema(lit("P0"), (lit("P1", False),)),))
-    assert classify_basic(single_stage(rules_only)) == P_BASED
+    assert kind(rules_only) == RULE_LAYER
     both = HybridKb(
         sig,
         Ontology((Axiom(ConceptName("P0"), ConceptName("P1")),), ()),
         (RuleSchema(lit("P0"), (lit("P1", False),)),),
     )
-    assert classify_basic(single_stage(both)) == NOT_BASIC
-    # fact-only programs with empty ontologies count as ontology-based
+    assert kind(both) == MIXED_LAYER
+    # fact-only programs with empty ontologies count as ontology-like
     plain = HybridKb(sig, Ontology(), (fact("P0"),))
-    assert classify_basic(single_stage(plain)) == O_BASED
+    assert kind(plain) == ONTOLOGY_LAYER
 
 
 def test_layer_kinds_and_enabling():
@@ -216,8 +216,10 @@ def _rule_layer_answers(dkb: DynamicHybridKb, plan: LayerPlan | None = None):
     plan = plan or suggest_plan(dkb)
     kinds = layer_kinds(dkb, plan)
     assert RULE_LAYER in kinds
+    scopes = [dkb.sig.atoms_of_preds(hi - lo) for lo, hi in plan.slices()]
     out = []
-    for m, per_layer in _solve(dkb, plan, DEFAULT_LIMITS):
+    for m in dynamic_models(dkb, plan):
+        per_layer = [restrict(m, scope) for scope in scopes]
         per_atom = []
         for kind, layer in zip(kinds, per_layer):
             if kind != RULE_LAYER:
@@ -260,8 +262,11 @@ def test_static_solutions_chain_shape():
         pairs = static_solutions(kb, plan)
         models = static_models(kb, plan)
         assert len(pairs) == len(models)
+        scopes = [kb.sig.atoms_of_preds(hi - lo) for lo, hi in plan.slices()]
         for per_layer, combined in pairs:
             assert len(per_layer) == len(plan)
+            for layer, scope in zip(per_layer, scopes):
+                assert layer.scope <= scope
             rebuilt = ModelSet(
                 tuple(c for layer in per_layer for c in layer.components)
             )

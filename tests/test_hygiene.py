@@ -178,9 +178,9 @@ def _literal_text(node: ast.expr) -> str:
 
 
 def test_every_budget_error_names_its_cap():
-    # a budget error names the EngineLimits field or the module constant
-    # that stopped the work; the exhaustive references in oracle.py are
-    # exempt
+    # a budget error, a ResourceLimit or a CrossComponentFormula, names the
+    # EngineLimits field or the module constant that stopped the work; the
+    # exhaustive references in oracle.py are exempt
     from hybridmknf.interp import EngineLimits
 
     fields = [f"EngineLimits.{f.name} =" for f in dataclasses.fields(EngineLimits)]
@@ -200,7 +200,7 @@ def test_every_budget_error_names_its_cap():
                 isinstance(node, ast.Raise)
                 and isinstance(node.exc, ast.Call)
                 and isinstance(node.exc.func, ast.Name)
-                and node.exc.func.id == "ResourceLimit"
+                and node.exc.func.id in ("ResourceLimit", "CrossComponentFormula")
             ):
                 continue
             checked += 1

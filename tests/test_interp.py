@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmknf import dynamic_models, load_sequence
 from hybridmknf.errors import CrossComponentFormula, ResourceLimit
@@ -30,6 +31,7 @@ from hybridmknf.interp import (
     component_from_models,
     denotation,
     eval_objective,
+    expand,
     from_models,
     holds_known,
     holds_not,
@@ -73,10 +75,8 @@ def rnd_model_set(
 
 def product(c1: Component, c2: Component) -> Component:
     """One component denoting what two disjoint ones denote together."""
-    return component_from_models(
-        c1.atoms + c2.atoms,
-        [c1.set_of(p) | c2.set_of(q) for p in c1.parts for q in c2.parts],
-    )
+    atoms = tuple(sorted(c1.atoms + c2.atoms))
+    return Component(atoms, expand([c1, c2], atoms))
 
 
 def refactor(rng: random.Random, m: ModelSet, universe: list[int]) -> ModelSet:
@@ -130,8 +130,20 @@ def test_from_models_random_round_trip():
 def test_component_helpers():
     c = component_from_models([2, 5], [frozenset({2}), frozenset({2, 5})])
     assert c.scope == frozenset({2, 5})
-    assert c.bit_of() == {2: 0, 5: 1}
-    assert c.set_of(c.mask_of(frozenset({2, 5}))) == frozenset({2, 5})
+    assert (c.fixed_true, c.fixed_false) == (0b01, 0b00)
+    assert Component((2, 5), [0b10]).fixed_false == 0b01
+
+
+def test_expand_lifts_parts_and_ranges_free_atoms():
+    c = Component((2, 5), [0b01, 0b11])
+    # atoms 2 and 5 at bits 2 and 0, free atom 7 at bit 1; product order
+    assert expand([c], [5, 7, 2]).tolist() == [0b100, 0b110, 0b101, 0b111]
+    # contiguous target bits take one shift
+    assert expand([c], [0, 2, 5]).tolist() == [0b010, 0b011, 0b110, 0b111]
+    assert expand([], []).tolist() == [0]
+    ones = [Component((x,), [1]) for x in range(70)]
+    wide = expand(ones, list(range(71)))
+    assert wide.dtype == object and wide.tolist() == [(1 << 70) - 1, (1 << 71) - 1]
 
 
 def assert_parts_array(c: Component) -> None:
@@ -298,7 +310,11 @@ def test_query_resource_guards():
         )
     )
     cramped = dataclasses.replace(DEFAULT_LIMITS, max_parts=2)
-    with pytest.raises(CrossComponentFormula):
+    with pytest.raises(
+        CrossComponentFormula,
+        match=r"spans 2 components whose joint enumeration of 4 interpretations "
+        r"exceeds EngineLimits\.max_parts = 2",
+    ):
         holds_known(two, Disj((P, Q)), cramped)
     one = ModelSet((Component((0, 1), frozenset({0, 1, 2, 3})),))
     with pytest.raises(ResourceLimit):
@@ -394,3 +410,126 @@ def test_model_sets_equal_across_factorings():
         assert model_sets_equal(m, mutant) == want
         assert model_sets_equal(mutant, m) == want
 
+
+def test_equality_settles_on_fixed_atoms_before_expanding():
+    # linked over 49 atoms, each side counts 2**24 interpretations, past the
+    # expansion cap; the atoms each side fixes already tell them apart
+    a = ModelSet((Component(tuple(range(25)), [0]),))
+    b = ModelSet((Component(tuple(range(24, 49)), [0]),))
+    assert not model_sets_equal(a, b)
+    assert not model_sets_equal(b, a)
+
+
+def _members(m: ModelSet, universe: list[int]) -> set[frozenset[int]]:
+    """The denoted interpretations over a small universe, by testing each
+    subset of it against every component's parts."""
+    out = set()
+    for bits in range(1 << len(universe)):
+        true = frozenset(a for i, a in enumerate(universe) if bits >> i & 1)
+        if all(
+            sum(1 << i for i, a in enumerate(c.atoms) if a in true) in c.parts
+            for c in m.components
+        ):
+            out.add(true)
+    return out
+
+
+@st.composite
+def _factored(draw, atoms: list[int], max_block: int) -> ModelSet:
+    """Components over consecutive blocks of a shuffled atom list, some
+    blocks left free."""
+    atoms = draw(st.permutations(atoms))
+    comps = []
+    while atoms:
+        take = draw(st.integers(1, max_block))
+        block, atoms = sorted(atoms[:take]), atoms[take:]
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        masks = st.integers(0, (1 << len(block)) - 1)
+        comps.append(Component(tuple(block), draw(st.sets(masks, min_size=1))))
+    return ModelSet(tuple(comps))
+
+
+# objective sentences over atoms 0-7, which every drawn universe holds
+_SENTENCES = st.recursive(
+    st.integers(0, 7).map(Atom) | st.sampled_from([TRUE, FALSE]),
+    lambda sub: sub.map(Neg)
+    | st.lists(sub, max_size=3).map(lambda xs: Conj(tuple(xs)))
+    | st.lists(sub, max_size=3).map(lambda xs: Disj(tuple(xs)))
+    | st.builds(Implies, sub, sub),
+    max_leaves=8,
+)
+
+
+def _regroup(m: ModelSet, merge: list[bool]) -> ModelSet:
+    """m with neighbouring components merged where merge says so."""
+    comps = list(m.components)
+    out = []
+    while comps:
+        c = comps.pop()
+        if comps and merge[len(comps) % len(merge)]:
+            c = product(c, comps.pop())
+        out.append(c)
+    return ModelSet(tuple(out))
+
+
+@st.composite
+def _narrow_case(draw):
+    universe = list(range(8))
+    a = draw(_factored(universe, 3))
+    kind = draw(st.sampled_from(["other", "regrouped", "mutant"]))
+    if kind == "other":
+        b = draw(_factored(universe, 3))
+    else:
+        b = _regroup(a, draw(st.lists(st.booleans(), min_size=1)))
+        if kind == "mutant":
+            b = mutate_one_part(random.Random(draw(st.integers(0, 99))), b)
+    return universe, a, b, draw(_SENTENCES)
+
+
+@st.composite
+def _wide_case(draw):
+    # one-part components over 63-70 atoms with at most 4 of them free; the
+    # second set holds the same or a one-bit-flipped interpretation, blocked
+    # differently, so that linked groups can run past 62 atoms
+    n = draw(st.integers(63, 70))
+    free = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    covered = [x for x in range(n) if x not in free]
+    bits = draw(st.integers(0, (1 << n) - 1))
+    true = frozenset(x for x in covered if bits >> x & 1)
+    other = true
+    if draw(st.booleans()):
+        other = true ^ {draw(st.sampled_from(covered))}
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+
+    def blocked(truth: frozenset[int]) -> ModelSet:
+        comps, rest = [], covered
+        while rest:
+            take = rng.randint(1, 5)
+            block, rest = tuple(rest[:take]), rest[take:]
+            mask = sum(1 << i for i, x in enumerate(block) if x in truth)
+            comps.append(Component(block, [mask]))
+        return ModelSet(tuple(comps))
+
+    # touches every atom, so holds_known runs past 62 bits
+    every = Conj(
+        tuple(Atom(x) if x in true else Neg(Atom(x)) for x in covered)
+        + tuple(Disj((Atom(x), Neg(Atom(x)))) for x in sorted(free))
+    )
+    sent = draw(_SENTENCES)
+    sent = draw(st.sampled_from([sent, Disj((sent, every)), Conj((sent, every))]))
+    return list(range(n)), blocked(true), blocked(other), sent
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_narrow_case() | _wide_case())
+def test_expansion_readers_agree_with_the_denotation(case):
+    universe, a, b, sent = case
+    den_a, den_b = denotation(a, universe), denotation(b, universe)
+    if len(universe) == 8:
+        assert den_a == _members(a, universe)
+        assert den_b == _members(b, universe)
+    assert model_sets_equal(a, b) == (den_a == den_b)
+    assert model_sets_equal(b, a) == (den_a == den_b)
+    want = all(eval_objective(sent, i) for i in den_a)
+    assert holds_known(a, sent) == want
