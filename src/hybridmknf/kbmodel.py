@@ -10,12 +10,14 @@ ground rules over one shared signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Callable, Union
 
 from .errors import SortMismatch, UndeclaredSymbol, UnsortableVariable
 from .interp import (
     Atom,
+    Conj,
     FALSE,
     Implies,
     Known,
@@ -177,7 +179,24 @@ def concept_sentence(c: Concept, constant: str, sig: Signature) -> Sentence:
 
 
 @dataclass(frozen=True)
-class Axiom:
+class _Statement:
+    """A schematic statement whose ground instances (its `_instances`) are
+    computed once per signature and kept on the statement, so every slice
+    that shares it and the final check of the newest base reuse them."""
+
+    # (signature, ground instances) of the last computation
+    _grounded: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def ground(self, sig: Signature) -> list:
+        if self._grounded is None or self._grounded[0] is not sig:
+            object.__setattr__(self, "_grounded", (sig, self._instances(sig)))
+        return list(self._grounded[1])
+
+
+@dataclass(frozen=True)
+class Axiom(_Statement):
     """Subsumption or, when two_way is set, equivalence of two concepts."""
 
     left: Concept
@@ -185,6 +204,10 @@ class Axiom:
     two_way: bool = False
 
     def predicates(self) -> frozenset[str]:
+        return self._predicates
+
+    @cached_property
+    def _predicates(self) -> frozenset[str]:
         return concept_predicates(self.left) | concept_predicates(self.right)
 
     def subject_sort(self, sig: Signature) -> str:
@@ -197,7 +220,8 @@ class Axiom:
             )
         return sort
 
-    def ground(self, sig: Signature) -> list[Sentence]:
+    def _instances(self, sig: Signature) -> tuple[Sentence, ...]:
+        # one sentence per constant of the subject sort
         out = []
         for constant in sig.constants_of_sort(self.subject_sort(sig)):
             left = concept_sentence(self.left, constant, sig)
@@ -206,7 +230,7 @@ class Axiom:
                 out.append(conj([Implies(left, right), Implies(right, left)]))
             else:
                 out.append(Implies(left, right))
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -274,7 +298,7 @@ class SchemaLiteral:
 
 
 @dataclass(frozen=True)
-class RuleSchema:
+class RuleSchema(_Statement):
     head: SchemaLiteral
     body: tuple[SchemaLiteral, ...] = ()
 
@@ -285,10 +309,18 @@ class RuleSchema:
         return self.head.atom.pred
 
     def body_predicates(self) -> frozenset[str]:
-        return frozenset(b.atom.pred for b in self.body)
+        return self._body_predicates
 
     def predicates(self) -> frozenset[str]:
-        return frozenset(a.pred for a in self.atoms())
+        return self._predicates
+
+    @cached_property
+    def _body_predicates(self) -> frozenset[str]:
+        return frozenset(b.atom.pred for b in self.body)
+
+    @cached_property
+    def _predicates(self) -> frozenset[str]:
+        return self._body_predicates | {self.head_pred()}
 
     def is_positive(self) -> bool:
         return self.head.positive
@@ -324,7 +356,8 @@ class RuleSchema:
                     raise UnsortableVariable(f"variable {term} has no sorted occurrence")
         return sorts
 
-    def ground(self, sig: Signature) -> list[Rule]:
+    def _instances(self, sig: Signature) -> tuple[Rule, ...]:
+        # one rule per binding of the variables
         sorts = self.variable_sorts(sig)
         variables = sorted(sorts)
         pools = [sig.constants_of_sort(sorts[v]) for v in variables]
@@ -341,7 +374,7 @@ class RuleSchema:
                 (lit.positive, ground_atom(lit.atom)) for lit in self.body
             )
             out.append(Rule(head, body))
-        return out
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +400,10 @@ class HybridKb:
 
     def modal_sentences(self) -> list[Sentence]:
         """Modal reading of the whole base: axioms under K, rules as
-        conditionals between modal literals."""
+        conditionals between modal literals, each literal built once."""
         out: list[Sentence] = [Known(s) for s in self.ontology_sentences()]
-        for rule in self.ground_rules():
-            out.append(modal_rule(rule))
+        literal = cache(modal_literal)
+        out.extend(modal_rule(rule, literal) for rule in self.ground_rules())
         return out
 
     def predicates(self) -> frozenset[str]:
@@ -385,9 +418,15 @@ def modal_literal(lit: tuple[bool, int]) -> Sentence:
     return Known(Atom(atom)) if positive else NotKnown(Atom(atom))
 
 
-def modal_rule(rule: Rule) -> Sentence:
-    body = conj([modal_literal(b) for b in rule.body])
-    return Implies(body, modal_literal(rule.head))
+def modal_rule(
+    rule: Rule,
+    literal: Callable[[tuple[bool, int]], Sentence] = modal_literal,
+) -> Sentence:
+    # modal literals are never TRUE or FALSE, so the body needs no conj
+    body = [literal(b) for b in rule.body]
+    if len(body) == 1:
+        return Implies(body[0], literal(rule.head))
+    return Implies(Conj(tuple(body)), literal(rule.head))
 
 
 @dataclass(frozen=True)

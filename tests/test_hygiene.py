@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports and no unreferenced names in the
 engine package, the oracle imported only where the engine is allowed to
 call it, every engine function the benchmark tracer wraps still exists,
-and every budget error names the cap that stopped it."""
+statements grounded only through the knowledge-base entry points, and every
+budget error names the cap that stopped it."""
 
 from __future__ import annotations
 
@@ -164,6 +165,37 @@ def test_tracer_targets_exist():
         if attr not in vars(owner)
     ]
     assert not missing, "traced functions not found: " + ", ".join(missing)
+
+
+def _statement_grounding(tree: ast.Module) -> list[int]:
+    """Lines that reach a statement's `ground` or `_instances` other than
+    through an ontology (`kb.ontology.ground(sig)`)."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "_instances" or (
+            node.attr == "ground"
+            and not (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "ontology"
+            )
+        ):
+            out.append(node.lineno)
+    return out
+
+
+def test_statements_are_grounded_only_inside_kbmodel():
+    # Axiom, RuleSchema and Assertion instances are grounded through
+    # Ontology.ground and HybridKb.ground_rules, the two functions the
+    # benchmark tracer times as `kbmodel.ground`; grounding from anywhere
+    # else would be timed as the caller's own work
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "kbmodel.py"
+        for line in _statement_grounding(ast.parse(path.read_text()))
+    ]
+    assert not found, "statements grounded outside kbmodel.py: " + ", ".join(found)
 
 
 def _literal_text(node: ast.expr) -> str:

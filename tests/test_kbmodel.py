@@ -3,10 +3,19 @@ modal reading of a knowledge base."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hybridmknf.errors import SortMismatch, UndeclaredSymbol, UnsortableVariable
-from hybridmknf.interp import Signature, eval_objective, render_sentence
+from hybridmknf.interp import (
+    Implies,
+    Known,
+    Signature,
+    conj,
+    eval_objective,
+    render_sentence,
+)
 from hybridmknf.kbmodel import (
     BOT,
     TOP,
@@ -31,7 +40,10 @@ from hybridmknf.kbmodel import (
     modal_rule,
     single_stage,
 )
+from hybridmknf.parser import load_sequence
 from hybridmknf.rules import Rule
+
+from helpers import rnd_hybrid_kb
 
 
 def veh_sig() -> Signature:
@@ -216,6 +228,52 @@ def test_modal_literal_and_rule():
         render_sentence(modal_rule(rule), sig)
         == "(K slow(car1) <- not fast(car1))"
     )
+
+
+def _modal_reading(kb: HybridKb) -> list:
+    """The modal sentences built one statement at a time, the body through
+    conj as modal_rule did before it built bodies directly."""
+    rules = [
+        Implies(conj([modal_literal(b) for b in r.body]), modal_literal(r.head))
+        for r in kb.ground_rules()
+    ]
+    assert rules == [modal_rule(r) for r in kb.ground_rules()]
+    return [Known(s) for s in kb.ontology_sentences()] + rules
+
+
+def test_modal_sentences_equal_their_parts():
+    sig = veh_sig()
+
+    def atom(pred: str, term: str = "X") -> SchemaAtom:
+        return SchemaAtom(pred, (term,))
+
+    kb = HybridKb(
+        sig,
+        Ontology(
+            (Axiom(ConceptName("fast"), NotConcept(ConceptName("slow"))),),
+            (Assertion("fast", ("car1",)), Assertion("slow", ("car2",), False)),
+        ),
+        (
+            # a fact, a one-literal body, a `not` head, a two-literal body
+            # and a literal shared between rules
+            RuleSchema(SchemaLiteral(True, atom("fast", "car2"))),
+            RuleSchema(
+                SchemaLiteral(True, atom("slow")), (SchemaLiteral(False, atom("fast")),)
+            ),
+            RuleSchema(
+                SchemaLiteral(False, atom("fast")), (SchemaLiteral(True, atom("slow")),)
+            ),
+            RuleSchema(
+                SchemaLiteral(True, atom("fast")),
+                (SchemaLiteral(True, atom("slow")), SchemaLiteral(False, atom("fast"))),
+            ),
+        ),
+    )
+    kbs = [kb, *load_sequence(["corpus/cargo.kb", "corpus/cargo_update.kb"]).stages]
+    rng = random.Random(3003)  # the small bases of acceptance criterion 3
+    kbs.extend(rnd_hybrid_kb(rng) for _ in range(100))
+    for kb in kbs:
+        assert kb.modal_sentences() == _modal_reading(kb)
 
 
 def test_single_stage_wraps_one_kb():

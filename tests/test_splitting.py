@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from hybridmknf.errors import NotUpdatable
+from hybridmknf.dynmknf import dynamic_models
+from hybridmknf.errors import EmptyUpdate, NotUpdatable
 from hybridmknf.interp import FULL_SET, ModelSet, component_from_models
 from hybridmknf.kbmodel import (
     TOP,
@@ -35,7 +37,7 @@ from hybridmknf.splitting import (
     top,
 )
 
-from helpers import unary_sig
+from helpers import rnd_hybrid_kb, rnd_updatable_dkb, unary_sig
 
 CARGO = "corpus/cargo.kb"
 CARGO_UPD = "corpus/cargo_update.kb"
@@ -218,3 +220,88 @@ def test_reduce_stage_grounds_ontology():
     sents, rules = reduce_stage(ont, frozenset(), FULL_SET)
     assert rules == []
     assert len(sents) == 2
+
+
+def _small_sequences() -> list[DynamicHybridKb]:
+    """Static bases of criterion 3's shape and two-version sequences of
+    criterion 7's shape, as the benchmark's small workload draws them."""
+    rng = random.Random(1515)
+    out = [single_stage(rnd_hybrid_kb(rng)) for _ in range(6)]
+    out.extend(rnd_updatable_dkb(rng)[0] for _ in range(6))
+    return out
+
+
+def _solve_sequences() -> list[DynamicHybridKb]:
+    return [
+        load_sequence([CARGO]),
+        load_sequence([CARGO, CARGO_UPD]),
+        *_small_sequences(),
+    ]
+
+
+def _solve(dkb: DynamicHybridKb) -> list[ModelSet]:
+    try:
+        return dynamic_models(dkb)
+    except EmptyUpdate:
+        return []
+
+
+def test_each_statement_is_grounded_once_per_solve(monkeypatch):
+    # subject_sort and variable_sorts run once each time an axiom or a rule
+    # schema computes its ground instances
+    grounded: Counter[int] = Counter()
+    for cls, name in ((Axiom, "subject_sort"), (RuleSchema, "variable_sorts")):
+        original = getattr(cls, name)
+
+        def counted(self, sig, _original=original):
+            grounded[id(self)] += 1
+            return _original(self, sig)
+
+        monkeypatch.setattr(cls, name, counted)
+    total = 0
+    for dkb in _solve_sequences():
+        grounded.clear()
+        _solve(dkb)
+        statements = [
+            s for kb in dkb.stages for s in kb.ontology.axioms + kb.program
+        ]
+        assert all(grounded[id(s)] <= 1 for s in statements), grounded
+        assert set(grounded) <= {id(s) for s in statements}
+        total += sum(grounded.values())
+    assert total > 50
+
+
+def _fresh_copy(kb: HybridKb) -> HybridKb:
+    """The same base built from new statement objects, grounded anew."""
+    axioms = tuple(Axiom(a.left, a.right, a.two_way) for a in kb.ontology.axioms)
+    program = tuple(RuleSchema(r.head, r.body) for r in kb.program)
+    return HybridKb(kb.sig, Ontology(axioms, kb.ontology.assertions), program)
+
+
+def test_reduced_slices_match_fresh_copies():
+    compared = 0
+    for dkb in _solve_sequences():
+        models = _solve(dkb)
+        for lo, hi in suggest_plan(dkb).slices():
+            for kb in dkb.stages:
+                sliced = slice_stage(kb, lo, hi)
+                fresh = _fresh_copy(sliced)
+                for prefix in models + [FULL_SET]:
+                    kept = reduce_stage(sliced, lo, prefix)
+                    assert kept == reduce_stage(fresh, lo, prefix)
+                    compared += 1
+    assert compared > 50
+
+
+def test_ground_instances_follow_the_signature():
+    axiom = Axiom(ConceptName("P0"), ConceptName("P1"))
+    schema = RuleSchema(
+        SchemaLiteral(True, SchemaAtom("P1", ("X",))),
+        (SchemaLiteral(False, SchemaAtom("P0", ("X",))),),
+    )
+    for n_consts in (1, 3, 2):
+        sig = unary_sig(2, n_consts)
+        assert len(axiom.ground(sig)) == n_consts
+        assert len(schema.ground(sig)) == n_consts
+    assert axiom.ground(sig) == Axiom(axiom.left, axiom.right).ground(sig)
+    assert schema.ground(sig) == RuleSchema(schema.head, schema.body).ground(sig)
