@@ -276,41 +276,54 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, nfiles: str, help_text: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, help_text: str, *, plan: bool = True, budgets: bool = True
+    ) -> argparse.ArgumentParser:
+        """A subcommand taking KB files, with the plan and budget flags that
+        its handler reads."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("files", nargs=nfiles, metavar="KB", help=".kb file(s)")
-        p.add_argument(
-            "--sequence",
-            metavar="PLAN.json",
-            help="explicit layer plan: JSON list of cumulative predicate name lists",
-        )
-        p.add_argument(
-            "--max-component-atoms", type=int, metavar="N",
-            help="per-block enumeration budget",
-        )
-        p.add_argument(
-            "--max-branches", type=int, metavar="N",
-            help="cap on solution branches across layers",
-        )
+        p.add_argument("files", nargs="+", metavar="KB", help=".kb file(s)")
+        if plan:
+            p.add_argument(
+                "--sequence",
+                metavar="PLAN.json",
+                help="explicit layer plan: JSON list of cumulative "
+                "predicate name lists",
+            )
+        if budgets:
+            p.add_argument(
+                "--max-component-atoms", type=int, metavar="N",
+                help="per-block enumeration budget",
+            )
+            p.add_argument(
+                "--max-branches", type=int, metavar="N",
+                help="cap on solution branches across layers",
+            )
         return p
 
-    p = add("models", "+", "compute the models of a knowledge base")
+    p = add("models", "compute the models of a knowledge base")
     p.add_argument("--query", help="also report whether all models entail this")
     p.add_argument("--oracle", action="store_true", help="cross-check the result")
 
-    p = add("update", "+", "compute the models of a version sequence")
+    p = add("update", "compute the models of a version sequence")
     p.add_argument("--query", help="also report whether all models entail this")
     p.add_argument("--oracle", action="store_true", help="cross-check the result")
 
-    p = add("entail", "+", "decide a single entailment question")
+    p = add("entail", "decide a single entailment question")
     p.add_argument("--query", required=True, help="modal query, e.g. 'K P(a) & not Q(b)'")
     p.add_argument("--oracle", action="store_true", help="cross-check the result")
 
-    p = add("split", "+", "check predicate sets for the splitting conditions")
+    p = add(
+        "split", "check predicate sets for the splitting conditions",
+        plan=False, budgets=False,
+    )
     p.add_argument("--set", metavar="P1,P2,...", help="comma separated predicate names")
 
-    add("layers", "+", "classify the layers of a plan")
-    add("check-updatable", "+", "report whether a version sequence can be updated")
+    add("layers", "classify the layers of a plan", budgets=False)
+    add(
+        "check-updatable", "report whether a version sequence can be updated",
+        budgets=False,
+    )
 
     return ap
 
@@ -340,7 +353,15 @@ def _configure_logging() -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -22,7 +22,7 @@ class UnsortableVariable(HybridMknfError):
 
 
 class EmptyIntersection(HybridMknfError):
-    """Intersecting model sets produced an empty denotation."""
+    """A classical theory has no models (raised by theory_model_set)."""
 
 
 class CrossComponentFormula(HybridMknfError):

@@ -6,10 +6,13 @@ Changes are compared by inclusion of the changed-atom sets; comparing the
 changes predicate by predicate gives the same order, because the changed
 atoms of different predicates never overlap.
 
-The work is organised around the co-occurrence structure of the theory: a
-small separator of high-degree atoms is fixed by enumeration, after which
-the remaining sentences fall apart into blocks that can be enumerated and
-minimised independently and recombined per separator valuation.
+The theory and the start set fall apart into independent atom groups, and
+one _GroupSolver handles each.  It fixes a small separator of high-degree
+atoms by enumeration, after which the remaining sentences fall apart into
+blocks that are enumerated and minimised independently and recombined per
+separator value.  It has two entry points: model_parts() for a free start
+set and updated_parts(starts) for a given one.  Both return an empty array
+when no model remains, which update_with_theory reports as EmptyUpdate.
 """
 
 from __future__ import annotations
@@ -41,125 +44,39 @@ _LONG_BITS = 62
 
 
 # ---------------------------------------------------------------------------
-# theory decomposition
+# one atom group
 
 
-class _Decomposition:
-    """Separator plus independent sentence blocks for one atom group."""
-
-    def __init__(self, sentences: Sequence[Sentence], limits: EngineLimits) -> None:
-        sent_atoms = [atoms_of(s) for s in sentences]
-        separator: set[int] = set()
-        while True:
-            blocks = union_find_groups(
-                [s - separator for s in sent_atoms if s - separator]
-            )
-            oversized = set().union(
-                *(b for b in blocks if len(b) > limits.max_component_atoms)
-            ) if any(len(b) > limits.max_component_atoms for b in blocks) else set()
-            if not oversized:
-                break
-            if len(separator) >= limits.max_separator_atoms:
-                raise ResourceLimit(
-                    "theory needs a larger separator than the configured budget: "
-                    f"EngineLimits.max_separator_atoms = {limits.max_separator_atoms} "
-                    f"leaves a block of {max(len(b) for b in blocks)} atoms, more "
-                    f"than EngineLimits.max_component_atoms = "
-                    f"{limits.max_component_atoms}"
-                )
-            degree: dict[int, int] = {}
-            for s in sent_atoms:
-                for a in s - separator:
-                    if a in oversized:
-                        degree[a] = degree.get(a, 0) + 1
-            separator.add(min(degree, key=lambda a: (-degree[a], a)))
-        self.separator = tuple(sorted(separator))
-        self.blocks = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-        block_of: dict[int, int] = {}
-        for j, b in enumerate(self.blocks):
-            for a in b:
-                block_of[a] = j
-        self.block_sentences: list[list[Sentence]] = [[] for _ in self.blocks]
-        self.guards: list[Sentence] = []
-        for sent, rel in zip(sentences, sent_atoms):
-            outside = rel - separator
-            if outside:
-                self.block_sentences[block_of[next(iter(outside))]].append(sent)
-            else:
-                self.guards.append(sent)
-
-
-class _GroupSolver:
-    """Per-separator-valuation block model tables in group bit space."""
-
-    def __init__(
-        self,
-        group_atoms: tuple[int, ...],
-        sentences: Sequence[Sentence],
-        limits: EngineLimits,
-    ) -> None:
-        if len(group_atoms) > _LONG_BITS:
+def _decompose(
+    sent_atoms: Sequence[frozenset[int]], limits: EngineLimits
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Separator and blocks for sentences over these atom sets: atoms of top
+    degree in oversized blocks join the separator until every block fits."""
+    separator: set[int] = set()
+    while True:
+        blocks = union_find_groups(
+            [s - separator for s in sent_atoms if s - separator]
+        )
+        oversized = set().union(
+            *(b for b in blocks if len(b) > limits.max_component_atoms)
+        )
+        if not oversized:
+            break
+        if len(separator) >= limits.max_separator_atoms:
             raise ResourceLimit(
-                f"group of {len(group_atoms)} atoms exceeds the mask width "
-                f"winslett._LONG_BITS = {_LONG_BITS}"
+                "theory needs a larger separator than the configured budget: "
+                f"EngineLimits.max_separator_atoms = {limits.max_separator_atoms} "
+                f"leaves a block of {max(len(b) for b in blocks)} atoms, more "
+                f"than EngineLimits.max_component_atoms = "
+                f"{limits.max_component_atoms}"
             )
-        self.group_atoms = group_atoms
-        self.pos = {a: i for i, a in enumerate(group_atoms)}
-        self.limits = limits
-        self.dec = _Decomposition(sentences, limits)
-        self.sep_bits = [self.pos[a] for a in self.dec.separator]
-        self.sep_mask = 0
-        for b in self.sep_bits:
-            self.sep_mask |= 1 << b
-        self.block_masks = []
-        for block in self.dec.blocks:
-            m = 0
-            for a in block:
-                m |= 1 << self.pos[a]
-            self.block_masks.append(m)
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
-        # separator values that satisfy the guards, and their group masks
-        live = np.arange(1 << len(self.sep_bits), dtype=np.int64)
-        bit_of = {a: i for i, a in enumerate(self.dec.separator)}
-        for g in self.dec.guards:
-            live = live[eval_objective_masks(g, bit_of, live)]
-        self.live, self.live_masks = live.tolist(), lift_bits(live, self.sep_bits)
-
-    def block_models(self, j: int, e: int) -> np.ndarray:
-        """Models of block j under separator valuation e, in group bit space."""
-        key = (j, e)
-        if key not in self._tables:
-            block = self.dec.blocks[j]
-            bit_of = {a: i for i, a in enumerate(block + self.dec.separator)}
-            masks = np.arange(1 << len(block), dtype=np.int64)
-            with_sep = masks | e << len(block)
-            ok = np.ones(masks.shape, dtype=bool)
-            for s in self.dec.block_sentences[j]:
-                ok &= eval_objective_masks(s, bit_of, with_sep)
-            self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
-        return self._tables[key]
-
-    def model_parts(self) -> np.ndarray:
-        """All models of the theory over the group, as distinct part masks."""
-        chunks = []
-        total = 0
-        for e, e_mask in zip(self.live, self.live_masks.tolist()):
-            arrays = [self.block_models(j, e) for j in range(len(self.dec.blocks))]
-            if any(a.size == 0 for a in arrays):
-                continue
-            count = 1
-            for a in arrays:
-                count *= a.size
-            total += count
-            if total > self.limits.max_parts:
-                raise ResourceLimit(
-                    f"theory has too many models to enumerate: at least {total}, "
-                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
-                )
-            chunks.append(or_product(arrays, e_mask))
-        if not chunks:
-            raise EmptyIntersection("theory has no classical models")
-        return np.concatenate(chunks)
+        degree: dict[int, int] = {}
+        for s in sent_atoms:
+            for a in s & oversized:
+                degree[a] = degree.get(a, 0) + 1
+        separator.add(min(degree, key=lambda a: (-degree[a], a)))
+    blocks = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+    return tuple(sorted(separator)), blocks
 
 
 def _minimal_diffs(diffs: Iterable[int]) -> list[int]:
@@ -187,7 +104,7 @@ _CHUNK_STARTS = 1 << 11
 
 class _BlockTable:
     """Minimal changes of one block, per occurring start value and live
-    separator value.
+    separator value, from the block's models under each live value.
 
     The chains are flattened value-major: the chain of value index v under
     live index l is ``diffs[first[v, l]:first[v, l] + count[v, l]]``.  When
@@ -196,7 +113,11 @@ class _BlockTable:
     ``diffs[i]``.
     """
 
-    def __init__(self, values: np.ndarray, chains: list[list[list[int]]]) -> None:
+    def __init__(self, models: list[np.ndarray], values: np.ndarray) -> None:
+        chains = [
+            [_minimal_diffs((m ^ v).tolist()) for m in models]
+            for v in values.tolist()
+        ]
         self.values = values
         self.count = np.array(
             [[len(c) for c in row] for row in chains], dtype=np.int64
@@ -218,11 +139,12 @@ class _BlockTable:
             self.cover = np.concatenate(covers)
 
 
-class _UpdateSolver(_GroupSolver):
-    """Per-start-point minimisation on top of the block tables.
+class _GroupSolver:
+    """Separator, blocks and per-block model tables of one atom group.
 
-    For each live separator value e, every start expands into the product of
-    its per-block minimal changes.  No two candidates of one start under one
+    Separator values that satisfy the separator-only sentences are live.
+    For each live value e, every start expands into the product of its
+    per-block minimal changes.  No two candidates of one start under one
     e compare, because the blocks are disjoint and each block offers an
     antichain.  A candidate under e is therefore dropped exactly when some
     other live value e' changes a strict subset of the separator bits that e
@@ -230,33 +152,97 @@ class _UpdateSolver(_GroupSolver):
     candidate's change for that block.
     """
 
-    def _block_table(
-        self, j: int, live: list[int], values: np.ndarray
-    ) -> _BlockTable:
-        models = [self.block_models(j, e) for e in live]
-        chains = [
-            [_minimal_diffs((m ^ v).tolist()) for m in models]
-            for v in values.tolist()
-        ]
-        return _BlockTable(values, chains)
+    def __init__(
+        self,
+        group_atoms: tuple[int, ...],
+        scoped: Sequence[tuple[Sentence, frozenset[int]]],
+        limits: EngineLimits,
+    ) -> None:
+        if len(group_atoms) > _LONG_BITS:
+            raise ResourceLimit(
+                f"group of {len(group_atoms)} atoms exceeds the mask width "
+                f"winslett._LONG_BITS = {_LONG_BITS}"
+            )
+        self.pos = {a: i for i, a in enumerate(group_atoms)}
+        self.limits = limits
+        self.separator, self.blocks = _decompose([rel for _, rel in scoped], limits)
+        block_of: dict[int, int] = {}
+        self.block_masks = []
+        for j, block in enumerate(self.blocks):
+            m = 0
+            for a in block:
+                block_of[a] = j
+                m |= 1 << self.pos[a]
+            self.block_masks.append(m)
+        self.block_sentences: list[list[Sentence]] = [[] for _ in self.blocks]
+        guards: list[Sentence] = []
+        for sent, rel in scoped:
+            outside = rel.difference(self.separator)
+            if outside:
+                self.block_sentences[block_of[next(iter(outside))]].append(sent)
+            else:
+                guards.append(sent)
+        self.sep_bits = [self.pos[a] for a in self.separator]
+        self.sep_mask = 0
+        for b in self.sep_bits:
+            self.sep_mask |= 1 << b
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+        # separator values that satisfy the guards, and their group masks
+        live = np.arange(1 << len(self.sep_bits), dtype=np.int64)
+        bit_of = {a: i for i, a in enumerate(self.separator)}
+        for g in guards:
+            live = live[eval_objective_masks(g, bit_of, live)]
+        self.live, self.live_masks = live.tolist(), lift_bits(live, self.sep_bits)
+
+    def block_models(self, j: int, e: int) -> np.ndarray:
+        """Models of block j under separator valuation e, in group bit space."""
+        key = (j, e)
+        if key not in self._tables:
+            block = self.blocks[j]
+            bit_of = {a: i for i, a in enumerate(block + self.separator)}
+            masks = np.arange(1 << len(block), dtype=np.int64)
+            with_sep = masks | e << len(block)
+            ok = np.ones(masks.shape, dtype=bool)
+            for s in self.block_sentences[j]:
+                ok &= eval_objective_masks(s, bit_of, with_sep)
+            self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
+        return self._tables[key]
+
+    def model_parts(self) -> np.ndarray:
+        """All models of the theory over the group, as distinct part masks."""
+        chunks = []
+        total = 0
+        for e, e_mask in zip(self.live, self.live_masks.tolist()):
+            arrays = [self.block_models(j, e) for j in range(len(self.blocks))]
+            if any(a.size == 0 for a in arrays):
+                continue
+            count = 1
+            for a in arrays:
+                count *= a.size
+            total += count
+            if total > self.limits.max_parts:
+                raise ResourceLimit(
+                    f"theory has too many models to enumerate: at least {total}, "
+                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
+                )
+            chunks.append(or_product(arrays, e_mask))
+        return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
     def updated_parts(self, starts: np.ndarray) -> np.ndarray:
         """Models of the theory at minimal change from each start point, sorted."""
-        if not self.live:
-            return starts[:0]
         tables = [
-            self._block_table(j, self.live, sorted_unique(starts & m))
+            _BlockTable(
+                [self.block_models(j, e) for e in self.live], sorted_unique(starts & m)
+            )
             for j, m in enumerate(self.block_masks)
         ]
-        batches = (
-            self._chunk_models(starts[lo:lo + _CHUNK_STARTS], self.live_masks, tables)
-            for lo in range(0, len(starts), _CHUNK_STARTS)
-        )
         # parts: distinct results so far; pending: later batches less those.  They
         # merge when pending outgrows parts or may pass the budget: counts are exact.
         parts, pending = starts[:0], []
-        for batch in batches:
-            batch = sorted_unique(batch)
+        for lo in range(0, len(starts), _CHUNK_STARTS):
+            batch = sorted_unique(
+                self._chunk_models(starts[lo:lo + _CHUNK_STARTS], tables)
+            )
             if parts.size:
                 batch = batch[parts[np.searchsorted(parts[:-1], batch)] != batch]
             pending.append(batch)
@@ -271,9 +257,7 @@ class _UpdateSolver(_GroupSolver):
                     )
         return sorted_unique(np.concatenate([parts, *pending]))
 
-    def _chunk_models(
-        self, chunk: np.ndarray, live_masks: np.ndarray, tables: list[_BlockTable]
-    ) -> np.ndarray:
+    def _chunk_models(self, chunk: np.ndarray, tables: list[_BlockTable]) -> np.ndarray:
         """Every model at minimal change from some start point of the chunk."""
         at = [
             np.searchsorted(t.values, chunk & m)
@@ -281,7 +265,7 @@ class _UpdateSolver(_GroupSolver):
         ]
         s_sep = chunk & self.sep_mask
         out = []
-        for li, e_mask in enumerate(live_masks.tolist()):
+        for li, e_mask in enumerate(self.live_masks.tolist()):
             counts = [t.count[a, li] for t, a in zip(tables, at)]
             total = np.ones(len(chunk), dtype=np.int64)
             for c in counts:
@@ -298,10 +282,10 @@ class _UpdateSolver(_GroupSolver):
                 rest //= c
                 diff |= t.diffs[entry]
                 entries.append(entry)
-            if len(live_masks) > 1:
+            if len(self.live) > 1:
                 # live values whose separator change lies inside this one's
                 below = (
-                    (s_sep[:, None] ^ live_masks) & ~(s_sep ^ e_mask)[:, None]
+                    (s_sep[:, None] ^ self.live_masks) & ~(s_sep ^ e_mask)[:, None]
                 ) == 0
                 below[:, li] = False
                 dominated = below[owner]
@@ -330,21 +314,6 @@ def theory_model_set(
         raise EmptyIntersection("theory has no classical models") from None
 
 
-def _expand_starts(
-    m_comps: Sequence[Component],
-    group_atoms: tuple[int, ...],
-    limits: EngineLimits,
-) -> np.ndarray:
-    """All interpretations of the group consistent with the given components."""
-    count = interpretation_count(m_comps, len(group_atoms))
-    if count > limits.max_parts:
-        raise ResourceLimit(
-            f"update start set is too large to enumerate: {count} starts, "
-            f"more than EngineLimits.max_parts = {limits.max_parts}"
-        )
-    return expand(m_comps, group_atoms)
-
-
 def update_with_theory(
     m: ModelSet,
     sentences: Sequence[Sentence],
@@ -369,22 +338,26 @@ def update_with_theory(
     out: list[Component] = []
     for group in sorted(groups, key=min):
         atoms = tuple(sorted(group))
-        in_group = [s for s, rel in zip(sentences, sent_atoms) if rel and rel <= group]
+        in_group = [
+            (s, rel) for s, rel in zip(sentences, sent_atoms) if rel and rel <= group
+        ]
         m_comps = [c for c in m.components if c.scope <= group]
         if not in_group:
             out.extend(m_comps)
             continue
+        solver = _GroupSolver(atoms, in_group, limits)
         if not m_comps:
             # the start set is free here, so every model of the theory is
             # reachable without change outside the group
-            solver = _GroupSolver(atoms, in_group, limits)
-            try:
-                out.append(Component(atoms, solver.model_parts()))
-            except EmptyIntersection:
-                raise EmptyUpdate("updating theory has no classical models")
-            continue
-        solver = _UpdateSolver(atoms, in_group, limits)
-        parts = solver.updated_parts(_expand_starts(m_comps, atoms, limits))
+            parts = solver.model_parts()
+        else:
+            count = interpretation_count(m_comps, len(atoms))
+            if count > limits.max_parts:
+                raise ResourceLimit(
+                    f"update start set is too large to enumerate: {count} starts, "
+                    f"more than EngineLimits.max_parts = {limits.max_parts}"
+                )
+            parts = solver.updated_parts(expand(m_comps, atoms))
         if not parts.size:
             raise EmptyUpdate("updating theory has no classical models")
         out.append(Component(atoms, parts))

@@ -6,6 +6,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +155,42 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["models"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", CARGO, "--sequence", CARGO_PLAN],
+        ["split", CARGO, "--max-component-atoms", "1"],
+        ["split", CARGO, "--max-branches", "0"],
+        ["layers", CARGO, "--max-component-atoms", "1"],
+        ["layers", CARGO, "--max-branches", "0"],
+        ["check-updatable", CARGO, "--max-component-atoms", "1"],
+        ["check-updatable", CARGO, "--max-branches", "0"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_closed_stdout_prints_no_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hybridmknf.cli", "models", CARGO],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 0
 
 
 def test_split_default_checks_suggested_plan():

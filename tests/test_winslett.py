@@ -18,6 +18,7 @@ from hybridmknf.interp import (
     Disj,
     Implies,
     Neg,
+    atoms_of,
     denotation,
     eval_objective,
     from_models,
@@ -280,13 +281,13 @@ def _eight_atom_draws(seed: int, count: int):
 
 def test_update_matches_brute_over_many_start_points(monkeypatch):
     shapes = []
-    solve = winslett._UpdateSolver.updated_parts
+    solve = winslett._GroupSolver.updated_parts
 
     def recording(self, starts):
-        shapes.append((len(self.dec.separator), len(self.dec.blocks), len(starts)))
+        shapes.append((len(self.separator), len(self.blocks), len(starts)))
         return solve(self, starts)
 
-    monkeypatch.setattr(winslett._UpdateSolver, "updated_parts", recording)
+    monkeypatch.setattr(winslett._GroupSolver, "updated_parts", recording)
     for m, upd in _eight_atom_draws(57, 60):
         try:
             want = brute_set_update(
@@ -371,8 +372,10 @@ S, A, B = Atom(0), Atom(1), Atom(2)
 
 
 def _hand_update(sentences, starts):
-    dec = winslett._Decomposition(sentences, ONE_ATOM_BLOCKS)
-    assert dec.separator == (0,) and dec.blocks == [(1,), (2,)]
+    separator, blocks = winslett._decompose(
+        [atoms_of(s) for s in sentences], ONE_ATOM_BLOCKS
+    )
+    assert separator == (0,) and blocks == [(1,), (2,)]
     m = from_models([0, 1, 2], starts)
     got = denot(update_with_theory(m, sentences, ONE_ATOM_BLOCKS), [0, 1, 2])
     want = brute_set_update(
@@ -398,3 +401,20 @@ def test_update_keeps_candidate_when_one_block_has_no_cover():
     # both results survive.
     got = _hand_update([A, Implies(S, B)], [frozenset({0}), frozenset({0, 1})])
     assert got == {frozenset({1}), frozenset({0, 1, 2})}
+
+
+def test_group_without_live_separator_value_has_no_models():
+    # s and not s are separator-only sentences that no value of s satisfies,
+    # so both the free and the given start set find no model.
+    sentences = [Disj((A, S)), Disj((B, S)), S, Neg(S)]
+    scoped = [(s, atoms_of(s)) for s in sentences]
+    solver = winslett._GroupSolver((0, 1, 2), scoped, ONE_ATOM_BLOCKS)
+    assert solver.separator == (0,) and solver.blocks == [(1,), (2,)]
+    assert solver.live == []
+    with pytest.raises(EmptyUpdate):
+        update_with_theory(FULL_SET, sentences, ONE_ATOM_BLOCKS)
+    m = from_models([0, 1, 2], [frozenset(), frozenset({1})])
+    with pytest.raises(EmptyUpdate):
+        update_with_theory(m, sentences, ONE_ATOM_BLOCKS)
+    with pytest.raises(EmptyIntersection):
+        theory_model_set(sentences, ONE_ATOM_BLOCKS)
