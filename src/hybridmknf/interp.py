@@ -72,16 +72,16 @@ class Signature:
         for const, sort in self.constants.items():
             self._constants_by_sort[sort] = self._constants_by_sort[sort] + (const,)
         atoms: list[GroundAtom] = []
+        # each predicate's atoms take one contiguous run of indices
+        self._atoms_by_pred: dict[str, frozenset[int]] = {}
         for pred, arg_sorts in self.predicates.items():
+            start = len(atoms)
             pools = [self._constants_by_sort[s] for s in arg_sorts]
             for args in itertools.product(*pools):
                 atoms.append(GroundAtom(pred, args))
+            self._atoms_by_pred[pred] = frozenset(range(start, len(atoms)))
         self.atoms: tuple[GroundAtom, ...] = tuple(atoms)
         self.atom_index: dict[GroundAtom, int] = {a: i for i, a in enumerate(self.atoms)}
-        by_pred: dict[str, set[int]] = {p: set() for p in self.predicates}
-        for i, a in enumerate(self.atoms):
-            by_pred[a.pred].add(i)
-        self._atoms_by_pred = {p: frozenset(s) for p, s in by_pred.items()}
 
     def constants_of_sort(self, sort: str) -> tuple[str, ...]:
         if sort not in self.sorts:

@@ -66,14 +66,20 @@ def render_term(term: str) -> str:
 
 
 class _Tokens:
-    __slots__ = ("items", "pos", "where")
+    __slots__ = ("items", "pos", "name", "lineno")
 
-    def __init__(self, line: str, where: str) -> None:
+    def __init__(self, line: str, name: str, lineno: int | None = None) -> None:
         # the None sentinel ends every statement, so reads need no bounds check
         self.items: list[str | None] = _TOKEN.findall(line)
         self.items.append(None)
         self.pos = 0
-        self.where = where
+        self.name = name
+        self.lineno = lineno
+
+    @property
+    def where(self) -> str:
+        """The location that error messages start with."""
+        return self.name if self.lineno is None else f"{self.name}:{self.lineno}"
 
     def peek(self) -> str | None:
         return self.items[self.pos]
@@ -165,21 +171,33 @@ def _parse_concept(toks: _Tokens) -> Concept:
 
 
 def _parse_args(toks: _Tokens) -> tuple[str, ...]:
-    toks.expect("(")
-    args = []
-    if toks.peek() == ")":
-        toks.next()
+    # reads toks.items directly, up to the None that ends the statement
+    items, pos = toks.items, toks.pos
+    if items[pos] != "(":
+        toks.expect("(")
+    pos += 1
+    if items[pos] == ")":
+        toks.pos = pos + 1
         return ()
+    args = []
     while True:
-        tok = toks.next()
+        tok = items[pos]
         if not _is_term(tok):
-            raise toks.fail(f"expected a term, found {tok!r}")
+            raise toks.fail(_found(tok, "a term"))
         args.append(_unquote(tok))
-        tok = toks.next()
+        tok = items[pos + 1]
+        pos += 2
         if tok == ")":
+            toks.pos = pos
             return tuple(args)
         if tok != ",":
-            raise toks.fail(f"expected ',' or ')', found {tok!r}")
+            raise toks.fail(_found(tok, "',' or ')'"))
+
+
+def _found(tok: str | None, wanted: str) -> str:
+    if tok is None:
+        return "unexpected end of statement"
+    return f"expected {wanted}, found {tok!r}"
 
 
 def _parse_assertion(toks: _Tokens) -> Assertion:
@@ -225,7 +243,10 @@ def _parse_rule(toks: _Tokens) -> RuleSchema:
 
 def _strip_line(raw: str) -> str:
     line = raw
-    if "#" in raw:
+    cut = raw.find("#")
+    if cut >= 0 and "'" not in raw[:cut]:
+        line = raw[:cut]
+    elif cut >= 0:
         # comments start outside quotes only
         out = []
         in_quote = False
@@ -249,12 +270,12 @@ def parse_kb_text(text: str, name: str = "<kb>") -> ParsedFile:
         line = _strip_line(raw)
         if not line:
             continue
-        where = f"{name}:{lineno}"
-        header = _HEADER.fullmatch(line)
-        if header:
-            section = header.group(1)
-            continue
-        toks = _Tokens(line, where)
+        if line[0] == "*":
+            header = _HEADER.fullmatch(line)
+            if header:
+                section = header.group(1)
+                continue
+        toks = _Tokens(line, name, lineno)
         first = toks.peek()
         if section is None:
             if first == "sort":

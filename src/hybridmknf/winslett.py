@@ -9,10 +9,15 @@ atoms of different predicates never overlap.
 The theory and the start set fall apart into independent atom groups, and
 one _GroupSolver handles each.  It fixes a small separator of high-degree
 atoms by enumeration, after which the remaining sentences fall apart into
-blocks that are enumerated and minimised independently and recombined per
-separator value.  It has two entry points: model_parts() for a free start
-set and updated_parts(starts) for a given one.  Both return an empty array
-when no model remains, which update_with_theory reports as EmptyUpdate.
+blocks that are enumerated, in each block's own bits, and minimised
+independently.  It has two entry points.  model_components() answers a
+free start set.  When one separator value is live, its answer is the
+separator fixed to that value plus one component per block; otherwise
+model_parts() recombines the blocks per live value into one flat
+component.  updated_parts(starts) answers a given start set with flat
+parts.  Only the flat paths need the whole group in one int64 mask, so
+only they refuse a group wider than _LONG_BITS.  No model remaining comes
+back as no component, which update_with_theory reports as EmptyUpdate.
 """
 
 from __future__ import annotations
@@ -158,22 +163,10 @@ class _GroupSolver:
         scoped: Sequence[tuple[Sentence, frozenset[int]]],
         limits: EngineLimits,
     ) -> None:
-        if len(group_atoms) > _LONG_BITS:
-            raise ResourceLimit(
-                f"group of {len(group_atoms)} atoms exceeds the mask width "
-                f"winslett._LONG_BITS = {_LONG_BITS}"
-            )
-        self.pos = {a: i for i, a in enumerate(group_atoms)}
+        self.atoms = group_atoms
         self.limits = limits
         self.separator, self.blocks = _decompose([rel for _, rel in scoped], limits)
-        block_of: dict[int, int] = {}
-        self.block_masks = []
-        for j, block in enumerate(self.blocks):
-            m = 0
-            for a in block:
-                block_of[a] = j
-                m |= 1 << self.pos[a]
-            self.block_masks.append(m)
+        block_of = {a: j for j, block in enumerate(self.blocks) for a in block}
         self.block_sentences: list[list[Sentence]] = [[] for _ in self.blocks]
         guards: list[Sentence] = []
         for sent, rel in scoped:
@@ -182,38 +175,82 @@ class _GroupSolver:
                 self.block_sentences[block_of[next(iter(outside))]].append(sent)
             else:
                 guards.append(sent)
-        self.sep_bits = [self.pos[a] for a in self.separator]
-        self.sep_mask = 0
-        for b in self.sep_bits:
-            self.sep_mask |= 1 << b
         self._tables: dict[tuple[int, int], np.ndarray] = {}
-        # separator values that satisfy the guards, and their group masks
-        live = np.arange(1 << len(self.sep_bits), dtype=np.int64)
+        # separator values that satisfy the guards, bit i for separator[i]
+        live = np.arange(1 << len(self.separator), dtype=np.int64)
         bit_of = {a: i for i, a in enumerate(self.separator)}
         for g in guards:
             live = live[eval_objective_masks(g, bit_of, live)]
-        self.live, self.live_masks = live.tolist(), lift_bits(live, self.sep_bits)
+        self.live = live.tolist()
 
     def block_models(self, j: int, e: int) -> np.ndarray:
-        """Models of block j under separator valuation e, in group bit space."""
+        """Models of block j under separator valuation e, bit i for blocks[j][i]."""
         key = (j, e)
         if key not in self._tables:
             block = self.blocks[j]
+            if len(block) > _LONG_BITS:
+                raise ResourceLimit(
+                    f"block of {len(block)} atoms exceeds the mask width "
+                    f"winslett._LONG_BITS = {_LONG_BITS}"
+                )
             bit_of = {a: i for i, a in enumerate(block + self.separator)}
             masks = np.arange(1 << len(block), dtype=np.int64)
             with_sep = masks | e << len(block)
             ok = np.ones(masks.shape, dtype=bool)
             for s in self.block_sentences[j]:
                 ok &= eval_objective_masks(s, bit_of, with_sep)
-            self._tables[key] = lift_bits(masks[ok], [self.pos[a] for a in block])
+            self._tables[key] = masks[ok]
         return self._tables[key]
+
+    def model_components(self) -> list[Component]:
+        """All models of the theory over the group, or no component when it
+        has none.  With one live separator value they are the separator fixed
+        to it times each block's models, one component each; otherwise one
+        component holds them as flat part masks."""
+        if len(self.live) > 1:
+            parts = self.model_parts()
+            return [Component(self.atoms, parts)] if parts.size else []
+        if not self.live:
+            return []
+        (e,) = self.live
+        tables = [self.block_models(j, e) for j in range(len(self.blocks))]
+        if any(t.size == 0 for t in tables):
+            return []
+        for t in tables:
+            if t.size > self.limits.max_parts:
+                raise ResourceLimit(
+                    f"theory has too many models to enumerate: at least {t.size}, "
+                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
+                )
+        out = [Component(self.separator, self.live)] if self.separator else []
+        out.extend(Component(b, t) for b, t in zip(self.blocks, tables))
+        return out
+
+    def _group_bits(self) -> None:
+        """Masks over the whole group, bit i for atoms[i], for the flat paths."""
+        if len(self.atoms) > _LONG_BITS:
+            raise ResourceLimit(
+                f"group of {len(self.atoms)} atoms exceeds the mask width "
+                f"winslett._LONG_BITS = {_LONG_BITS}"
+            )
+        pos = {a: i for i, a in enumerate(self.atoms)}
+        self.block_bits = [[pos[a] for a in block] for block in self.blocks]
+        self.block_masks = [sum(1 << b for b in bits) for bits in self.block_bits]
+        sep_bits = [pos[a] for a in self.separator]
+        self.sep_mask = sum(1 << b for b in sep_bits)
+        self.live_masks = lift_bits(np.array(self.live, dtype=np.int64), sep_bits)
+
+    def _group_models(self, j: int, e: int) -> np.ndarray:
+        """block_models(j, e) in group bit space."""
+        return lift_bits(self.block_models(j, e), self.block_bits[j])
 
     def model_parts(self) -> np.ndarray:
         """All models of the theory over the group, as distinct part masks."""
+        self._group_bits()
         chunks = []
         total = 0
         for e, e_mask in zip(self.live, self.live_masks.tolist()):
-            arrays = [self.block_models(j, e) for j in range(len(self.blocks))]
+            arrays = [self._group_models(j, e) for j in range(len(self.blocks))]
             if any(a.size == 0 for a in arrays):
                 continue
             count = 1
@@ -230,9 +267,10 @@ class _GroupSolver:
 
     def updated_parts(self, starts: np.ndarray) -> np.ndarray:
         """Models of the theory at minimal change from each start point, sorted."""
+        self._group_bits()
         tables = [
             _BlockTable(
-                [self.block_models(j, e) for e in self.live], sorted_unique(starts & m)
+                [self._group_models(j, e) for e in self.live], sorted_unique(starts & m)
             )
             for j, m in enumerate(self.block_masks)
         ]
@@ -349,7 +387,7 @@ def update_with_theory(
         if not m_comps:
             # the start set is free here, so every model of the theory is
             # reachable without change outside the group
-            parts = solver.model_parts()
+            comps = solver.model_components()
         else:
             count = interpretation_count(m_comps, len(atoms))
             if count > limits.max_parts:
@@ -357,10 +395,13 @@ def update_with_theory(
                     f"update start set is too large to enumerate: {count} starts, "
                     f"more than EngineLimits.max_parts = {limits.max_parts}"
                 )
-            parts = solver.updated_parts(expand(m_comps, atoms))
-        if not parts.size:
+            # in ascending order, so that the chunks meet the starts in the
+            # same order however many components the start set has
+            parts = solver.updated_parts(np.sort(expand(m_comps, atoms)))
+            comps = [Component(atoms, parts)] if parts.size else []
+        if not comps:
             raise EmptyUpdate("updating theory has no classical models")
-        out.append(Component(atoms, parts))
+        out.extend(comps)
     return ModelSet(tuple(out))
 
 

@@ -1,0 +1,71 @@
+"""Cargo-N, the cargo corpus with its block patterns cloned N times, around
+the walls the benchmark ladder measures: `models` answers up to the top rung
+with every cloned acceptance verdict, and N = 4 `update` stops on its parts
+budget without a partial answer."""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hybridmknf import dynamic_models, entails, load_sequence, parse_query
+from hybridmknf.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench(name: str):
+    """A perfbench module, loaded from its file.  workloads imports cargo_n
+    and kbgen by name, so each is registered under its own name."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+cargo_n = _perfbench("cargo_n")
+_perfbench("kbgen")
+CRITERION_1 = _perfbench("workloads").CRITERION_1
+
+
+def _cli(argv: list[str]) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_cargo_n_models_hold_every_cloned_verdict(n, tmp_path):
+    base, _ = cargo_n.write_cargo(n, str(tmp_path))
+    dkb = load_sequence([base])
+    models = dynamic_models(dkb)
+    assert len(models) == 1
+    queries = cargo_n.clone_queries(CRITERION_1, n)
+    assert len(queries) > len(CRITERION_1)
+    wrong = [q for q in queries if not entails(models, parse_query(q, dkb.sig))]
+    assert not wrong
+
+
+def test_cargo_8_models_cli_exits_0(tmp_path):
+    base, _ = cargo_n.write_cargo(8, str(tmp_path))
+    rc, payload = _cli(["models", base])
+    assert rc == 0
+    assert payload["count"] == 1
+
+
+def test_cargo_4_update_stops_on_the_parts_budget(tmp_path):
+    base, update = cargo_n.write_cargo(4, str(tmp_path))
+    rc, payload = _cli(["update", base, update])
+    assert rc == 2
+    assert payload == {"error": payload["error"]}
+    assert payload["error"]["type"] == "ResourceLimit"
+    assert "more than EngineLimits.max_parts = " in payload["error"]["message"]

@@ -7,6 +7,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmknf import winslett
 from hybridmknf.errors import EmptyIntersection, EmptyUpdate, ResourceLimit
@@ -14,9 +15,11 @@ from hybridmknf.interp import (
     DEFAULT_LIMITS,
     FULL_SET,
     Atom,
+    Component,
     Conj,
     Disj,
     Implies,
+    ModelSet,
     Neg,
     atoms_of,
     denotation,
@@ -24,7 +27,7 @@ from hybridmknf.interp import (
     from_models,
     model_sets_equal,
 )
-from hybridmknf.oracle import brute_sequence_update, brute_set_update
+from hybridmknf.oracle import brute_fo_models, brute_sequence_update, brute_set_update
 from hybridmknf.winslett import (
     sequence_update_model,
     theory_model_set,
@@ -167,13 +170,24 @@ def test_separator_budget_guard():
         theory_model_set(chain, one)
 
 
+def _hub_chains(k: int, length: int) -> list:
+    """k disjunction chains over atoms 1.. of the given length, each with its
+    first atom or-ed with the hub atom 0, which separates them."""
+    out = []
+    for first in range(1, 1 + k * length, length):
+        out.append(Disj((Atom(0), Atom(first))))
+        out.extend(Disj((Atom(a), Atom(a + 1))) for a in range(first, first + length - 1))
+    return out
+
+
 def test_cap_errors_name_the_cap():
-    chain = [Disj((Atom(a), Atom(a + 1))) for a in range(63)]
+    # both values of the hub atom 0 are live, so its 65-atom group takes
+    # the flat path
     with pytest.raises(
         ResourceLimit,
-        match=r"group of 64 atoms exceeds the mask width winslett\._LONG_BITS = 62",
+        match=r"group of 65 atoms exceeds the mask width winslett\._LONG_BITS = 62",
     ):
-        update_with_theory(FULL_SET, chain)
+        update_with_theory(FULL_SET, _hub_chains(4, 16))
     two = dataclasses.replace(DEFAULT_LIMITS, max_parts=2)
     with pytest.raises(
         ResourceLimit,
@@ -418,3 +432,81 @@ def test_group_without_live_separator_value_has_no_models():
         update_with_theory(m, sentences, ONE_ATOM_BLOCKS)
     with pytest.raises(EmptyIntersection):
         theory_model_set(sentences, ONE_ATOM_BLOCKS)
+
+
+def test_wide_group_with_one_live_separator_value_solves():
+    # with the hub fixed true, the 65-atom group of test_cap_errors_name_the_cap
+    # has one live separator value: it comes back as the hub and one
+    # component per chain, each with the models of the chain alone
+    m = update_with_theory(FULL_SET, _hub_chains(4, 16) + [Atom(0)])
+    assert [c.atoms for c in m.components] == [(0,)] + [
+        tuple(range(first, first + 16)) for first in (1, 17, 33, 49)
+    ]
+    assert m.components[0].parts.tolist() == [1]
+    (chain,) = theory_model_set(_hub_chains(1, 16)[1:]).components
+    assert len(chain.parts) == 2584
+    for c in m.components[1:]:
+        assert c.parts.tolist() == chain.parts.tolist()
+
+
+def test_block_wider_than_the_mask_is_refused():
+    wide = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=70)
+    chain = [Disj((Atom(a), Atom(a + 1))) for a in range(63)]
+    with pytest.raises(
+        ResourceLimit,
+        match=r"block of 64 atoms exceeds the mask width winslett\._LONG_BITS = 62",
+    ):
+        update_with_theory(FULL_SET, chain, wide)
+
+
+@st.composite
+def _one_live_value_theories(draw):
+    """Sentences over at most 12 atoms whose separator is atoms 0.. (1 or 2
+    of them), fixed by unit sentences, with 2-4 blocks behind it; and limits
+    under which no block needs a separator of its own."""
+    n_sep = draw(st.integers(1, 2))
+    n_blocks = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, (12 - n_sep) // n_blocks)) for _ in range(n_blocks)]
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    sentences = [Atom(s) if draw(st.booleans()) else Neg(Atom(s)) for s in range(n_sep)]
+    first = n_sep
+    for size in sizes:
+        block = range(first, first + size)
+        first += size
+        sentences.append(rnd_objective(rng, block))
+        # two sentences per separator atom and block give the separator
+        # atoms the top degree, and the lowest index breaks ties
+        for s in range(n_sep):
+            sentences.append(Implies(Atom(s), rnd_objective(rng, block)))
+            sentences.append(Implies(Neg(Atom(s)), rnd_objective(rng, block)))
+    limits = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=max(sizes))
+    return n_sep, list(range(first)), sentences, limits
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_one_live_value_theories())
+def test_one_live_value_gives_one_component_per_block(case):
+    n_sep, universe, sentences, limits = case
+    want = frozenset(brute_fo_models(sentences, universe))
+    if not want:
+        with pytest.raises(EmptyUpdate):
+            update_with_theory(FULL_SET, sentences, limits)
+        return
+    got = update_with_theory(FULL_SET, sentences, limits)
+    assert denot(got, universe) == want
+    scoped = [(s, atoms_of(s)) for s in sentences]
+    group = tuple(sorted(set().union(*(rel for _, rel in scoped))))
+    solver = winslett._GroupSolver(group, scoped, limits)
+    assert solver.separator == tuple(range(n_sep)) and len(solver.live) == 1
+    assert len(got.components) == 1 + len(solver.blocks) >= 3
+    flat = ModelSet((Component(group, solver.model_parts()),))
+    assert model_sets_equal(got, flat)
+    # the per-block path keeps the parts budget, block by block
+    largest = max(len(c.parts) for c in got.components)
+    capped = dataclasses.replace(limits, max_parts=largest - 1)
+    with pytest.raises(
+        ResourceLimit,
+        match=rf"too many models to enumerate: at least {largest}, "
+        rf"more than EngineLimits\.max_parts = {largest - 1}",
+    ):
+        update_with_theory(FULL_SET, sentences, capped)
