@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .errors import (
 # signatures
 
 
-@dataclass(frozen=True)
-class GroundAtom:
+class GroundAtom(NamedTuple):
     pred: str
     args: tuple[str, ...]
 
@@ -74,14 +73,17 @@ class Signature:
         atoms: list[GroundAtom] = []
         # each predicate's atoms take one contiguous run of indices
         self._atoms_by_pred: dict[str, frozenset[int]] = {}
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        new_atom = tuple.__new__
         for pred, arg_sorts in self.predicates.items():
             start = len(atoms)
             pools = [self._constants_by_sort[s] for s in arg_sorts]
-            for args in itertools.product(*pools):
-                atoms.append(GroundAtom(pred, args))
+            atoms.extend(
+                new_atom(GroundAtom, (pred, args)) for args in itertools.product(*pools)
+            )
             self._atoms_by_pred[pred] = frozenset(range(start, len(atoms)))
         self.atoms: tuple[GroundAtom, ...] = tuple(atoms)
-        self.atom_index: dict[GroundAtom, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.atom_index: dict[GroundAtom, int] = dict(zip(self.atoms, range(len(atoms))))
 
     def constants_of_sort(self, sort: str) -> tuple[str, ...]:
         if sort not in self.sorts:
@@ -128,41 +130,44 @@ class Signature:
 
 # Grammar of ground sentences: atoms, classical negation, conjunction,
 # disjunction, a rule-shaped conditional, and the two modalities.  Empty
-# conjunction serves as verum, empty disjunction as falsum.
+# conjunction serves as verum, empty disjunction as falsum.  Nodes are never
+# changed after construction and hash by value; they are not frozen because a
+# frozen dataclass sets each field through object.__setattr__, which makes a
+# node about 1.7 times as dear to build, and every solve builds hundreds.
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Atom:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Neg:
     sub: "Sentence"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Conj:
     subs: tuple["Sentence", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Disj:
     subs: tuple["Sentence", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Implies:
     body: "Sentence"
     head: "Sentence"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Known:
     sub: "Sentence"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NotKnown:
     sub: "Sentence"
 
@@ -406,11 +411,9 @@ class ModelSet:
     components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for c in self.components:
-            if seen & c.scope:
-                raise ValueError("component scopes must be pairwise disjoint")
-            seen |= c.scope
+        atoms = [a for c in self.components for a in c.atoms]
+        if len(set(atoms)) != len(atoms):
+            raise ValueError("component scopes must be pairwise disjoint")
         ordered = tuple(sorted(self.components, key=lambda c: c.atoms[0]))
         object.__setattr__(self, "components", ordered)
 

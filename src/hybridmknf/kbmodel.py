@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import SortMismatch, UndeclaredSymbol, UnsortableVariable
 from .interp import (
@@ -35,38 +35,41 @@ from .rules import Rule
 # ---------------------------------------------------------------------------
 # concepts
 
+# Like sentence nodes, concept nodes are never changed after construction and
+# hash by value, without the cost of frozen construction.
 
-@dataclass(frozen=True)
+
+@dataclass(unsafe_hash=True)
 class ConceptName:
     pred: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Nominal:
     constant: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TopConcept:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BotConcept:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NotConcept:
     sub: "Concept"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AndConcept:
     subs: tuple["Concept", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ExistsConcept:
     role: str
     filler: "Concept"
@@ -233,8 +236,7 @@ class Axiom(_Statement):
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(NamedTuple):
     """Ground fact about named individuals, possibly complemented."""
 
     pred: str
@@ -285,14 +287,12 @@ def is_variable(term: str) -> bool:
     return bool(term) and term[0].isupper()
 
 
-@dataclass(frozen=True)
-class SchemaAtom:
+class SchemaAtom(NamedTuple):
     pred: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SchemaLiteral:
+class SchemaLiteral(NamedTuple):
     positive: bool
     atom: SchemaAtom
 
@@ -401,7 +401,7 @@ class HybridKb:
     def modal_sentences(self) -> list[Sentence]:
         """Modal reading of the whole base: axioms under K, rules as
         conditionals between modal literals, each literal built once."""
-        out: list[Sentence] = [Known(s) for s in self.ontology_sentences()]
+        out: list[Sentence] = list(map(Known, self.ontology_sentences()))
         literal = cache(modal_literal)
         out.extend(modal_rule(rule, literal) for rule in self.ground_rules())
         return out
@@ -423,10 +423,10 @@ def modal_rule(
     literal: Callable[[tuple[bool, int]], Sentence] = modal_literal,
 ) -> Sentence:
     # modal literals are never TRUE or FALSE, so the body needs no conj
-    body = [literal(b) for b in rule.body]
+    body = tuple(map(literal, rule.body))
     if len(body) == 1:
         return Implies(body[0], literal(rule.head))
-    return Implies(Conj(tuple(body)), literal(rule.head))
+    return Implies(Conj(body), literal(rule.head))
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,14 @@ def _is_name(tok: str | None) -> bool:
 
 
 def _unquote(tok: str) -> str:
-    if tok.startswith("'") and tok.endswith("'") and len(tok) >= 2:
+    if len(tok) >= 2 and tok[0] == "'" and tok[-1] == "'":
         return tok[1:-1]
     return tok
 
 
 def _is_term(tok: str | None) -> bool:
-    return tok is not None and (_is_name(tok) or tok.startswith("'"))
+    # tokens are never empty
+    return tok is not None and (tok[0] == "'" or (tok.isascii() and tok.isidentifier()))
 
 
 @dataclass
@@ -133,6 +134,8 @@ _KEYWORDS = {"exists", "top", "bot", "not", "sort", "pred"}
 
 def _parse_concept_atom(toks: _Tokens) -> Concept:
     tok = toks.next()
+    if tok not in _KEYWORDS and _is_name(tok):
+        return ConceptName(tok)
     if tok == "top":
         return TOP
     if tok == "bot":
@@ -155,8 +158,6 @@ def _parse_concept_atom(toks: _Tokens) -> Concept:
             raise toks.fail(f"expected a role name after 'exists', found {role!r}")
         toks.expect(".")
         return ExistsConcept(role, _parse_concept_atom(toks))
-    if _is_name(tok) and tok not in _KEYWORDS:
-        return ConceptName(tok)
     raise toks.fail(f"expected a concept, found {tok!r}")
 
 
@@ -267,6 +268,8 @@ def parse_kb_text(text: str, name: str = "<kb>") -> ParsedFile:
     parsed = ParsedFile(name)
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw or raw[0] == "#":
+            continue
         line = _strip_line(raw)
         if not line:
             continue
@@ -285,13 +288,13 @@ def parse_kb_text(text: str, name: str = "<kb>") -> ParsedFile:
                     raise toks.fail(f"expected a sort name, found {sort!r}")
                 toks.expect(":")
                 consts = []
-                while not toks.done():
-                    tok = toks.next()
+                items, pos = toks.items, toks.pos
+                while items[pos] is not None:
+                    tok = items[pos]
                     if not _is_term(tok):
                         raise toks.fail(f"expected a constant, found {tok!r}")
                     consts.append(_unquote(tok))
-                    if toks.peek() == ",":
-                        toks.next()
+                    pos += 2 if items[pos + 1] == "," else 1
                 if not consts:
                     raise toks.fail("a sort needs at least one constant")
                 parsed.sorts.setdefault(sort, [])
@@ -449,8 +452,8 @@ def parse_sequence(texts: Sequence[tuple[str, str]]) -> DynamicHybridKb:
 def load_sequence(paths: Sequence[str]) -> DynamicHybridKb:
     texts = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            texts.append((path, fh.read()))
+        with open(path, "rb") as fh:
+            texts.append((path, fh.read().decode("utf-8")))
     return parse_sequence(texts)
 
 

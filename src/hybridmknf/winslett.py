@@ -14,14 +14,19 @@ independently.  It has two entry points.  model_components() answers a
 free start set.  When one separator value is live, its answer is the
 separator fixed to that value plus one component per block; otherwise
 model_parts() recombines the blocks per live value into one flat
-component.  updated_parts(starts) answers a given start set with flat
-parts.  Only the flat paths need the whole group in one int64 mask, so
-only they refuse a group wider than _LONG_BITS.  No model remaining comes
-back as no component, which update_with_theory reports as EmptyUpdate.
+component.  updated_parts(comps) answers a given start set with flat
+parts.  It does not walk the start points one by one: the start
+components split the group into factors, each factor is minimised once
+per live separator value, and the results are products of per-factor
+part classes, counted against the parts budget before any is built.
+Only the flat paths need the whole group in one int64 mask, so only they
+refuse a group wider than _LONG_BITS.  No model remaining comes back as
+no component, which update_with_theory reports as EmptyUpdate.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,6 +110,81 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
 
 # Start points minimised per NumPy pass; bounds the candidate arrays.
 _CHUNK_STARTS = 1 << 11
+
+
+def _unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean matrix, and each row's index among them."""
+    width = bits.shape[1]
+    words = [
+        bits[:, lo:lo + _LONG_BITS] @ (1 << np.arange(min(_LONG_BITS, width - lo)))
+        for lo in range(0, width, _LONG_BITS)
+    ]
+    if len(words) == 1:
+        _, first, inverse = np.unique(words[0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(
+            np.stack(words, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+    return bits[first], inverse.ravel()
+
+
+def _part_classes(
+    pieces: list[tuple[np.ndarray, np.ndarray | None]],
+) -> tuple[list[np.ndarray], list[frozenset[int]]]:
+    """A factor's distinct result parts, in classes of parts that reach the
+    same minimal cover vectors, and each class's vectors as integers.
+
+    Without cover vectors, all parts form one class that reaches zero.
+    """
+    part = np.concatenate([p for p, _ in pieces])
+    if not part.size:
+        return [], []
+    if pieces[0][1] is None:
+        return [sorted_unique(part)], [frozenset({0})]
+    vectors, vid = _unique_rows(np.concatenate([v for _, v in pieces]))
+    order = np.argsort(part, kind="stable")
+    part, vid = part[order], vid[order]
+    first = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
+    reach = np.zeros((part.size, len(vectors)), dtype=bool)
+    reach[np.arange(part.size), vid] = True
+    reach = np.logical_or.reduceat(reach, first, axis=0)
+    # inside[a, b]: vectors[a] is a strict subset of vectors[b], that is no
+    # bit of vectors[a] lies outside vectors[b] (a float product counts them
+    # exactly and needs no array of all pairs by all bits)
+    inside = vectors.astype(np.float32) @ (~vectors).T.astype(np.float32) == 0
+    np.fill_diagonal(inside, False)
+    kinds, kind_of = _unique_rows(reach & ~(reach @ inside))
+    part = part[first]
+    as_int = [sum(1 << int(i) for i in np.flatnonzero(v)) for v in vectors]
+    return (
+        [part[kind_of == k] for k in range(len(kinds))],
+        [frozenset(as_int[i] for i in np.flatnonzero(row)) for row in kinds],
+    )
+
+
+def _surviving_combos(
+    reach: list[list[frozenset[int]]], width: int
+) -> list[tuple[int, ...]]:
+    """Tuples of one class index per factor such that one vector reachable
+    from each chosen class ANDs to zero, for vectors of the given width.
+
+    Factors are joined left to right, grouping the tuples so far by the
+    minimal ANDs they reach.
+    """
+    if not width:
+        # no dominators: each factor has one class, or none without results
+        return [(0,) * len(reach)] if all(reach) else []
+    states: dict[frozenset[int], list[tuple[int, ...]]] = {
+        frozenset({(1 << width) - 1}): [()]
+    }
+    for classes in reach:
+        joined: dict[frozenset[int], list[tuple[int, ...]]] = {}
+        for state, combos in states.items():
+            for ci, c in enumerate(classes):
+                met = frozenset(_minimal_diffs({a & v for a in state for v in c}))
+                joined.setdefault(met, []).extend(combo + (ci,) for combo in combos)
+        states = joined
+    return [combo for state, combos in states.items() if 0 in state for combo in combos]
 
 
 class _BlockTable:
@@ -265,74 +345,139 @@ class _GroupSolver:
             chunks.append(or_product(arrays, e_mask))
         return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
-    def updated_parts(self, starts: np.ndarray) -> np.ndarray:
-        """Models of the theory at minimal change from each start point, sorted."""
-        self._group_bits()
-        tables = [
-            _BlockTable(
-                [self._group_models(j, e) for e in self.live], sorted_unique(starts & m)
-            )
-            for j, m in enumerate(self.block_masks)
-        ]
-        # parts: distinct results so far; pending: later batches less those.  They
-        # merge when pending outgrows parts or may pass the budget: counts are exact.
-        parts, pending = starts[:0], []
-        for lo in range(0, len(starts), _CHUNK_STARTS):
-            batch = sorted_unique(
-                self._chunk_models(starts[lo:lo + _CHUNK_STARTS], tables)
-            )
-            if parts.size:
-                batch = batch[parts[np.searchsorted(parts[:-1], batch)] != batch]
-            pending.append(batch)
-            bound = parts.size + sum(p.size for p in pending)
-            if bound > min(2 * parts.size, self.limits.max_parts):
-                parts, pending = sorted_unique(np.concatenate([parts, *pending])), []
-                if parts.size > self.limits.max_parts:
-                    raise ResourceLimit(
-                        f"update produced too many distinct results: at least "
-                        f"{parts.size}, more than EngineLimits.max_parts = "
-                        f"{self.limits.max_parts}"
-                    )
-        return sorted_unique(np.concatenate([parts, *pending]))
+    def updated_parts(self, comps: Sequence[Component]) -> np.ndarray:
+        """Models of the theory at minimal change from each start point, sorted.
 
-    def _chunk_models(self, chunk: np.ndarray, tables: list[_BlockTable]) -> np.ndarray:
-        """Every model at minimal change from some start point of the chunk."""
-        at = [
-            np.searchsorted(t.values, chunk & m)
-            for t, m in zip(tables, self.block_masks)
-        ]
+        The start points are the group interpretations that the disjoint comps
+        allow, with the group's other atoms free.  They form a product of
+        factors (see _start_factors), and each factor is minimised on its own
+        under each live value e.  A factor's result part is tagged with the
+        cover vectors it can reach.  A vector has one bit per dominator, a
+        live value whose separator change from the start is a strict subset
+        of e's; the bit is set when that dominator offers a change inside the
+        part's in every block of the factor.  A group result survives exactly
+        when one reachable vector per factor ANDs to zero.
+        """
+        self._group_bits()
+        factors = self._start_factors(comps)
+        tables = {
+            j: _BlockTable(
+                [self._group_models(j, e) for e in self.live],
+                sorted_unique(starts & self.block_masks[j]),
+            )
+            for starts, blocks, _ in factors
+            for j in blocks
+        }
+        live_masks = self.live_masks.tolist()
+        # the dominator columns under each live value, None when there are none
+        columns: list[np.ndarray | None] = [None] * len(live_masks)
+        if len(live_masks) > 1:
+            sep_values = sorted_unique(
+                next(starts for starts, _, has_sep in factors if has_sep) & self.sep_mask
+            )
+            for li, e_mask in enumerate(live_masks):
+                held = np.flatnonzero(self._dominators(sep_values, e_mask, li).any(axis=0))
+                columns[li] = held if held.size else None
+        pieces = [[[] for _ in factors] for _ in live_masks]
+        for fi, (starts, blocks, has_sep) in enumerate(factors):
+            for lo in range(0, len(starts), _CHUNK_STARTS):
+                chunk = starts[lo:lo + _CHUNK_STARTS]
+                at = [
+                    np.searchsorted(tables[j].values, chunk & self.block_masks[j])
+                    for j in blocks
+                ]
+                for li, e_mask in enumerate(live_masks):
+                    pieces[li][fi].append(
+                        self._factor_changes(
+                            chunk, at, [tables[j] for j in blocks], has_sep,
+                            li, e_mask, columns[li],
+                        )
+                    )
+        # count every surviving result before building any
+        products = []
+        total = 0
+        for li, per_factor in enumerate(pieces):
+            split = [_part_classes(factor_pieces) for factor_pieces in per_factor]
+            width = 0 if columns[li] is None else columns[li].size
+            for combo in _surviving_combos([vectors for _, vectors in split], width):
+                arrays = [parts[c] for (parts, _), c in zip(split, combo)]
+                total += math.prod(a.size for a in arrays)
+                products.append(arrays)
+        if total > self.limits.max_parts:
+            raise ResourceLimit(
+                f"update produced too many distinct results: at least "
+                f"{total}, more than EngineLimits.max_parts = "
+                f"{self.limits.max_parts}"
+            )
+        if not products:
+            return np.zeros(0, dtype=np.int64)
+        return sorted_unique(np.concatenate([or_product(p) for p in products]))
+
+    def _start_factors(
+        self, comps: Sequence[Component]
+    ) -> list[tuple[np.ndarray, list[int], bool]]:
+        """The start set as a product of factors, each given by its start
+        points in group bits, its blocks, and whether it holds the separator.
+
+        Blocks and the separator that one start component touches together
+        fall into one factor; atoms only the start set mentions stay in their
+        component's factor, where no block changes them.
+        """
+        pos = {a: i for i, a in enumerate(self.atoms)}
+        units = [set(b) for b in self.blocks]
+        if self.separator:
+            units.append(set(self.separator))
+        factors = []
+        for group in sorted(union_find_groups(units + [c.scope for c in comps]), key=min):
+            atoms = sorted(group)
+            starts = lift_bits(
+                expand([c for c in comps if c.atoms[0] in group], atoms),
+                [pos[a] for a in atoms],
+            )
+            blocks = [j for j, b in enumerate(self.blocks) if b[0] in group]
+            has_sep = bool(self.separator) and self.separator[0] in group
+            factors.append((starts, blocks, has_sep))
+        return factors
+
+    def _dominators(self, s_sep: np.ndarray, e_mask: int, li: int) -> np.ndarray:
+        """Whether live value l changes a strict subset of the separator bits
+        that live index li changes from s_sep[i], at [i, l]."""
+        out = ((s_sep[:, None] ^ self.live_masks) & ~(s_sep ^ e_mask)[:, None]) == 0
+        out[:, li] = False
+        return out
+
+    def _factor_changes(
+        self,
+        chunk: np.ndarray,
+        at: list[np.ndarray],
+        tables: list[_BlockTable],
+        has_sep: bool,
+        li: int,
+        e_mask: int,
+        columns: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The factor results under live index li from the chunk's start
+        points, with the cover vector of each over the dominator columns,
+        or None when no start has a dominator."""
+        counts = [t.count[a, li] for t, a in zip(tables, at)]
+        total = np.ones(len(chunk), dtype=np.int64)
+        for c in counts:
+            total *= c
+        owner = np.repeat(np.arange(len(chunk)), total)
+        rest = _ragged_arange(total)
         s_sep = chunk & self.sep_mask
-        out = []
-        for li, e_mask in enumerate(self.live_masks.tolist()):
-            counts = [t.count[a, li] for t, a in zip(tables, at)]
-            total = np.ones(len(chunk), dtype=np.int64)
-            for c in counts:
-                total *= c
-            owner = np.repeat(np.arange(len(chunk)), total)
-            if not owner.size:
-                continue
-            rest = _ragged_arange(total)
-            diff = s_sep[owner] ^ e_mask
-            entries = []
-            for t, a, c in zip(tables, at, counts):
-                c = c[owner]
-                entry = t.first[a[owner], li] + rest % c
-                rest //= c
-                diff |= t.diffs[entry]
-                entries.append(entry)
-            if len(self.live) > 1:
-                # live values whose separator change lies inside this one's
-                below = (
-                    (s_sep[:, None] ^ self.live_masks) & ~(s_sep ^ e_mask)[:, None]
-                ) == 0
-                below[:, li] = False
-                dominated = below[owner]
-                for t, entry in zip(tables, entries):
-                    dominated &= t.cover[entry]
-                keep = ~dominated.any(axis=1)
-                owner, diff = owner[keep], diff[keep]
-            out.append(chunk[owner] ^ diff)
-        return np.concatenate(out) if out else chunk[:0]
+        diff = (s_sep ^ e_mask)[owner] if has_sep else np.zeros(owner.size, np.int64)
+        vec = None if columns is None else np.ones((owner.size, columns.size), bool)
+        for t, a, c in zip(tables, at, counts):
+            c = c[owner]
+            entry = t.first[a[owner], li] + rest % c
+            rest //= c
+            diff |= t.diffs[entry]
+            if vec is not None:
+                vec &= t.cover[np.ix_(entry, columns)]
+        if vec is not None and has_sep:
+            vec &= self._dominators(s_sep, e_mask, li)[np.ix_(owner, columns)]
+        return chunk[owner] ^ diff, vec
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +540,7 @@ def update_with_theory(
                     f"update start set is too large to enumerate: {count} starts, "
                     f"more than EngineLimits.max_parts = {limits.max_parts}"
                 )
-            # in ascending order, so that the chunks meet the starts in the
-            # same order however many components the start set has
-            parts = solver.updated_parts(np.sort(expand(m_comps, atoms)))
+            parts = solver.updated_parts(m_comps)
             comps = [Component(atoms, parts)] if parts.size else []
         if not comps:
             raise EmptyUpdate("updating theory has no classical models")

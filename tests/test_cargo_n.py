@@ -1,7 +1,8 @@
 """Cargo-N, the cargo corpus with its block patterns cloned N times, around
 the walls the benchmark ladder measures: `models` answers up to the top rung
 with every cloned acceptance verdict, and N = 4 `update` stops on its parts
-budget without a partial answer."""
+budget, counting its 4,456,448 distinct results exactly, without a partial
+answer."""
 
 from __future__ import annotations
 
@@ -68,4 +69,7 @@ def test_cargo_4_update_stops_on_the_parts_budget(tmp_path):
     assert rc == 2
     assert payload == {"error": payload["error"]}
     assert payload["error"]["type"] == "ResourceLimit"
-    assert "more than EngineLimits.max_parts = " in payload["error"]["message"]
+    assert payload["error"]["message"] == (
+        "update produced too many distinct results: at least 4456448, "
+        "more than EngineLimits.max_parts = 2097152"
+    )

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from hybridmknf.interp import (
     denotation,
     eval_objective,
     from_models,
+    interpretation_count,
     model_sets_equal,
 )
 from hybridmknf.oracle import brute_fo_models, brute_sequence_update, brute_set_update
@@ -297,9 +300,10 @@ def test_update_matches_brute_over_many_start_points(monkeypatch):
     shapes = []
     solve = winslett._GroupSolver.updated_parts
 
-    def recording(self, starts):
-        shapes.append((len(self.separator), len(self.blocks), len(starts)))
-        return solve(self, starts)
+    def recording(self, comps):
+        starts = interpretation_count(comps, len(self.atoms))
+        shapes.append((len(self.separator), len(self.blocks), starts))
+        return solve(self, comps)
 
     monkeypatch.setattr(winslett._GroupSolver, "updated_parts", recording)
     for m, upd in _eight_atom_draws(57, 60):
@@ -321,7 +325,7 @@ def test_update_matches_brute_over_many_start_points(monkeypatch):
 
 def test_update_is_pointwise_over_start_points():
     # the update of a start set must be the union of the updates of its
-    # single points, each of which also takes the vectorised pass
+    # single points, each of which is a start set of one point per factor
     for m, upd in _eight_atom_draws(58, 12):
         try:
             whole = denot(update_with_theory(m, upd, TIGHT3), ATOMS8)
@@ -510,3 +514,116 @@ def test_one_live_value_gives_one_component_per_block(case):
         rf"more than EngineLimits\.max_parts = {largest - 1}",
     ):
         update_with_theory(FULL_SET, sentences, capped)
+
+
+@st.composite
+def _factored_updates(draw):
+    """An update theory over a separator (atoms 0.., one or two of them) and
+    2-3 blocks of 1-2 atoms behind it, and a start set whose components may
+    link two blocks, link the separator to a block, or carry atoms that only
+    the start set mentions; at most 9 atoms in all."""
+    n_sep = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(2, 3)))]
+    n_only = draw(st.integers(0, min(2, 9 - n_sep - sum(sizes))))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    blocks, first = [], n_sep
+    for size in sizes:
+        blocks.append(list(range(first, first + size)))
+        first += size
+    universe = list(range(first + n_only))
+    sentences = []
+    if draw(st.booleans()):
+        # a separator-only sentence, which may leave one or several live values
+        sentences.append(rnd_objective(rng, range(n_sep)))
+    for block in blocks:
+        sentences.append(rnd_objective(rng, block))
+        for s in range(n_sep):
+            sentences.append(Implies(Atom(s), rnd_objective(rng, block)))
+            sentences.append(Implies(Neg(Atom(s)), rnd_objective(rng, block)))
+    if draw(st.booleans()):
+        # while atom 0 is true, the first block has no model
+        b = Atom(blocks[0][0])
+        sentences.append(Implies(Atom(0), Conj((b, Neg(b)))))
+    # start components: units of the theory, some merged, some left free
+    units = [list(range(n_sep))] + [list(b) for b in blocks]
+    if draw(st.booleans()):
+        units[1:3] = [units[1] + units[2]]
+    if draw(st.booleans()):
+        units[0:2] = [units[0] + units[1]]
+    for a in range(first, first + n_only):
+        units[draw(st.integers(0, len(units) - 1))].append(a)
+    comps = []
+    for unit in units:
+        if draw(st.booleans()) or unit[-1] >= first:
+            atoms = tuple(sorted(unit))
+            masks = range(1 << len(atoms))
+            comps.append(Component(atoms, rng.sample(masks, rng.randint(1, min(4, len(masks))))))
+    limits = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=max(sizes))
+    return universe, sentences, ModelSet(tuple(comps)), limits
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_factored_updates())
+def _check_factored_update(case):
+    universe, sentences, m, limits = case
+    theory = brute_fo_models(sentences, universe)
+    want = None
+    if theory:
+        want = frozenset(
+            brute_set_update(denot(m, universe), theory, [[a] for a in universe])
+        )
+    for size in (winslett._CHUNK_STARTS, 1, 3):
+        with mock.patch.object(winslett, "_CHUNK_STARTS", size):
+            if want is None:
+                with pytest.raises(EmptyUpdate):
+                    update_with_theory(m, sentences, limits)
+            else:
+                assert denot(update_with_theory(m, sentences, limits), universe) == want
+
+
+def test_factored_update_matches_oracle(monkeypatch):
+    # every start-set shape that splits a group into factors occurs, and each
+    # result equals the exhaustive pointwise update at three chunk sizes
+    seen = set()
+    solve = winslett._GroupSolver.updated_parts
+
+    def recording(self, comps):
+        units = [set(self.separator)] + [set(b) for b in self.blocks]
+        touched = [[u for u in units if u & c.scope] for c in comps]
+        if len(self.live) > 1:
+            seen.add("several live values")
+        if any(not self.block_models(j, e).size
+               for j in range(len(self.blocks)) for e in self.live):
+            seen.add("a block without models under a live value")
+        if any(len(t) > 1 and units[0] not in t for t in touched):
+            seen.add("two blocks linked")
+        if self.separator and any(units[0] in t and len(t) > 1 for t in touched):
+            seen.add("separator linked to a block")
+        if set(self.atoms) - set().union(*units):
+            seen.add("atoms only the start set mentions")
+        if len(self.blocks) > 1 and all(len(t) <= 1 for t in touched):
+            seen.add("a product over the separator and the blocks")
+        return solve(self, comps)
+
+    monkeypatch.setattr(winslett._GroupSolver, "updated_parts", recording)
+    _check_factored_update()
+    assert seen == {
+        "several live values",
+        "a block without models under a live value",
+        "two blocks linked",
+        "separator linked to a block",
+        "atoms only the start set mentions",
+        "a product over the separator and the blocks",
+    }
+
+
+@pytest.mark.parametrize("width", [1, 62, 63, 130])
+def test_unique_rows_numbers_distinct_rows_at_any_width(width):
+    # rows wider than one int64 word are compared word by word
+    rng = np.random.default_rng(width)
+    bits = rng.random((40, width)) < 0.5
+    bits[20:] = bits[:20]
+    bits[5, -1] = not bits[5, -1]
+    rows, index = winslett._unique_rows(bits)
+    assert (rows[index] == bits).all()
+    assert len(rows) == len(np.unique(bits, axis=0))
