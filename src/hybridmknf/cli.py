@@ -19,7 +19,13 @@ import sys
 import time
 from typing import Sequence
 
-from .dynmknf import dynamic_models, entails, is_update_enabling, layer_kinds
+from .dynmknf import (
+    _DIRECT_LAYER_ATOMS,
+    dynamic_models,
+    entails,
+    is_update_enabling,
+    layer_kinds,
+)
 from .errors import (
     EmptyIntersection,
     EmptyUpdate,
@@ -49,7 +55,6 @@ from .splitting import LayerPlan, split_check, suggest_plan
 log = logging.getLogger("hybridmknf")
 
 _PART_LISTING_CAP = 64
-_ORACLE_ATOM_CAP = 4
 
 # answers below are "semantically negative": valid runs with a no answer
 _SEMANTIC_ERRORS = (
@@ -129,7 +134,7 @@ def _cross_check(
 ) -> dict:
     """Re-derive the answer along an independent route when one exists."""
     checks: list[dict] = []
-    if len(dkb.stages) == 1 and len(dkb.sig.atoms) <= _ORACLE_ATOM_CAP:
+    if len(dkb.stages) == 1 and len(dkb.sig.atoms) <= _DIRECT_LAYER_ATOMS:
         from .oracle import brute_mknf_models
 
         atoms = tuple(range(len(dkb.sig.atoms)))

@@ -22,7 +22,6 @@ from .interp import (
     Sentence,
     component_from_models,
     model_sets_equal,
-    restrict,
     satisfies,
 )
 from .kbmodel import DynamicHybridKb, HybridKb, modal_rule, single_stage
@@ -161,26 +160,6 @@ def static_models(
 ) -> list[ModelSet]:
     """Models of a single knowledge base via a one-stage sequence."""
     return dynamic_models(single_stage(kb), plan, limits)
-
-
-def static_solutions(
-    kb: HybridKb,
-    plan: LayerPlan | None = None,
-    limits: EngineLimits = DEFAULT_LIMITS,
-) -> list[tuple[tuple[ModelSet, ...], ModelSet]]:
-    """Per-layer solution chains paired with their combined model.
-
-    Every layer's components lie within the atoms of its own predicates, so
-    each chain element is the combined model restricted to those atoms.
-    """
-    dkb = single_stage(kb)
-    if plan is None:
-        plan = suggest_plan(dkb)
-    scopes = [dkb.sig.atoms_of_preds(hi - lo) for lo, hi in plan.slices()]
-    return [
-        (tuple(restrict(m, scope) for scope in scopes), m)
-        for m in dynamic_models(dkb, plan, limits)
-    ]
 
 
 def entails(

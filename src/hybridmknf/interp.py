@@ -121,9 +121,6 @@ class Signature:
     def pred_of(self, atom: int) -> str:
         return self.atoms[atom].pred
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
 
 # ---------------------------------------------------------------------------
 # ground sentences
@@ -313,7 +310,6 @@ class EngineLimits:
     max_separator_atoms: int = 12
     max_parts: int = 1 << 21
     max_branches: int = 64
-    max_query_free_atoms: int = 16
 
 
 DEFAULT_LIMITS = EngineLimits()
@@ -515,11 +511,6 @@ def holds_known(
         m.components[i] for i in sorted({owner[a][0] for a in rel if a in owner})
     ]
     free = sorted(a for a in rel if a not in owner)
-    if len(free) > limits.max_query_free_atoms:
-        raise ResourceLimit(
-            f"query ranges over {len(free)} unconstrained atoms, more than "
-            f"EngineLimits.max_query_free_atoms = {limits.max_query_free_atoms}"
-        )
     cost = float(1 << len(free))
     for c in touched:
         cost *= len(c.parts)
@@ -586,13 +577,6 @@ def satisfies(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS
     """Truth of one sentence in m, with m doubling as the negation context."""
     residue = _fold_modalities(m, sent, limits)
     return holds_known(m, residue, limits)
-
-
-def satisfies_s5(
-    m: ModelSet, sentences: Iterable[Sentence], limits: EngineLimits = DEFAULT_LIMITS
-) -> bool:
-    """Whether every sentence holds in every denoted interpretation of m."""
-    return all(satisfies(m, s, limits) for s in sentences)
 
 
 _EXPANSION_CAP = 1 << 22
@@ -672,11 +656,3 @@ def model_sets_equal(a: ModelSet, b: ModelSet) -> bool:
         ):
             return False
     return True
-
-
-def render_model_set(m: ModelSet, sig: Signature) -> str:
-    lines = []
-    for c in m.components:
-        names = [str(sig.atoms[a]) for a in c.atoms]
-        lines.append("{" + ", ".join(names) + "}: " + str(len(c.parts)) + " parts")
-    return "\n".join(lines) if lines else "(unconstrained)"

@@ -443,12 +443,6 @@ class DynamicHybridKb:
             if kb.sig is not self.sig:
                 raise ValueError("all stages must share one signature")
 
-    def predicates(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for kb in self.stages:
-            out |= kb.predicates()
-        return out
-
     def newest(self) -> HybridKb:
         return self.stages[-1]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimit
-from .interp import EngineLimits, DEFAULT_LIMITS, Signature
+from .interp import EngineLimits, DEFAULT_LIMITS
 
 # (positive, atom index); (False, p) is the default literal "not p"
 Lit = tuple[bool, int]
@@ -30,23 +30,6 @@ class Rule:
 
     def atoms(self) -> frozenset[int]:
         return frozenset([self.head[1]] + [a for _, a in self.body])
-
-    def is_positive(self) -> bool:
-        """Head is an atom; the body may still use default negation."""
-        return self.head[0]
-
-
-def render_lit(lit: Lit, sig: Signature) -> str:
-    positive, atom = lit
-    text = str(sig.atoms[atom])
-    return text if positive else f"not {text}"
-
-
-def render_rule(rule: Rule, sig: Signature) -> str:
-    head = render_lit(rule.head, sig)
-    if not rule.body:
-        return f"{head}."
-    return f"{head} :- " + ", ".join(render_lit(b, sig) for b in rule.body) + "."
 
 
 def scope_of(rules: Iterable[Rule]) -> frozenset[int]:

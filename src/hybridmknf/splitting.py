@@ -80,9 +80,6 @@ class LayerPlan:
     def __len__(self) -> int:
         return len(self.cumulative)
 
-    def to_json(self) -> list[list[str]]:
-        return [sorted(u) for u in self.cumulative]
-
     @classmethod
     def from_json(cls, data: object) -> "LayerPlan":
         if not isinstance(data, list) or not all(

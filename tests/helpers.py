@@ -38,11 +38,6 @@ from hybridmknf.rules import Rule
 from hybridmknf.splitting import LayerPlan, is_splitting_set
 
 
-def nullary_sig(n: int) -> Signature:
-    """n propositional atoms named p00, p01, ...; atom index equals rank."""
-    return Signature((), {}, {f"p{i:02d}": () for i in range(n)})
-
-
 def unary_sig(n_preds: int, n_consts: int = 1) -> Signature:
     names = {f"k{j}": "obj" for j in range(n_consts)}
     preds = {f"P{i}": ("obj",) for i in range(n_preds)}

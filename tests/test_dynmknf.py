@@ -18,7 +18,6 @@ from hybridmknf.dynmknf import (
     is_update_enabling,
     layer_kinds,
     static_models,
-    static_solutions,
 )
 from hybridmknf.errors import (
     EmptyUpdate,
@@ -44,6 +43,7 @@ from hybridmknf.kbmodel import (
     ConceptName,
     DynamicHybridKb,
     HybridKb,
+    NotConcept,
     Ontology,
     RuleSchema,
     SchemaAtom,
@@ -119,6 +119,45 @@ def test_static_matches_modal_sweep():
         assert got == want
         checked += 1
     assert checked == 150
+
+
+def test_negated_query_literals_match_modal_sweep():
+    # K ~a holds in a model when every interpretation makes a false, and
+    # not ~a when some interpretation makes a true; a base without models
+    # entails both
+    rng = random.Random(76)
+    # two models, one knowing P0 and one knowing P1 and so ~P0, where
+    # neither query is entailed
+    choice = HybridKb(
+        unary_sig(2),
+        Ontology((Axiom(ConceptName("P1"), NotConcept(ConceptName("P0"))),), ()),
+        (
+            RuleSchema(lit("P0"), (lit("P1", False),)),
+            RuleSchema(lit("P1"), (lit("P0", False),)),
+        ),
+    )
+    seen = set()
+    for kb in [choice] + [rnd_hybrid_kb(rng) for _ in range(60)]:
+        atoms = list(range(len(kb.sig.atoms)))
+        models = static_models(kb)
+        want = brute_mknf_models(kb.modal_sentences(), atoms)
+        for pred in sorted(kb.sig.predicates):
+            a = kb.sig.atom(pred, ("k0",))
+            known = all(all(a not in i for i in m) for m in want)
+            not_known = all(any(a in i for i in m) for m in want)
+            k_query = parse_query(f"K ~{pred}(k0)", kb.sig)
+            not_query = parse_query(f"not ~{pred}(k0)", kb.sig)
+            assert entails(models, k_query) == known, (kb, pred)
+            assert entails(models, not_query) == not_known, (kb, pred)
+            seen.add((known, not_known))
+    assert seen == {(True, False), (False, True), (False, False), (True, True)}
+
+
+def test_cargo_negated_query_verdicts():
+    cargo = load_sequence(["corpus/cargo.kb"])
+    models = dynamic_models(cargo)
+    assert entails(models, parse_query("not ~CompliantShpmt(s1)", cargo.sig))
+    assert not entails(models, parse_query("K ~CompliantShpmt(s1)", cargo.sig))
 
 
 def test_ontology_sequence_matches_update_fold():
@@ -254,17 +293,16 @@ def test_rule_layer_stable_model_is_one_component():
     assert len(_rule_layer_answers(updated)) == 1
 
 
-def test_static_solutions_chain_shape():
+def test_layer_restrictions_rebuild_static_models():
+    # every layer's components lie within the atoms of its own predicates,
+    # so a model is the product of its restrictions to the layers
     rng = random.Random(74)
     for _ in range(30):
         kb = rnd_hybrid_kb(rng)
         plan = suggest_plan(single_stage(kb))
-        pairs = static_solutions(kb, plan)
-        models = static_models(kb, plan)
-        assert len(pairs) == len(models)
         scopes = [kb.sig.atoms_of_preds(hi - lo) for lo, hi in plan.slices()]
-        for per_layer, combined in pairs:
-            assert len(per_layer) == len(plan)
+        for combined in static_models(kb, plan):
+            per_layer = [restrict(combined, scope) for scope in scopes]
             for layer, scope in zip(per_layer, scopes):
                 assert layer.scope <= scope
             rebuilt = ModelSet(

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports and no unreferenced names in the
 engine package, the oracle imported only where the engine is allowed to
-call it, every engine function the benchmark tracer wraps still exists,
+call it, every engine function the benchmark tracer wraps still exists
+and tiny solves still enter every span the traced benchmark expects,
 statements grounded only through the knowledge-base entry points, and every
 budget error names the cap that stopped it."""
 
@@ -151,20 +152,67 @@ def test_oracle_is_imported_only_where_the_engine_may_call_it():
     assert {owner for owner, _ in found} == allowed, found
 
 
-def test_tracer_targets_exist():
-    # a rename here makes `perfbench/run.py --trace 1` fail on every workload
+def _perfbench_module(name: str):
     bench = str(ROOT / "perfbench")
     sys.path.insert(0, bench)
     try:
-        tracer = importlib.import_module("tracer")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(bench)
+
+
+def test_tracer_targets_exist():
+    # a rename here makes `perfbench/run.py --trace 1` fail on every workload
+    tracer = _perfbench_module("tracer")
     missing = [
         f"{owner.__name__}.{attr}"
         for owner, attr, _, _ in tracer._TARGETS
         if attr not in vars(owner)
     ]
     assert not missing, "traced functions not found: " + ", ".join(missing)
+
+
+# A mixed layer over two atoms, solved by the exhaustive sweep, and a
+# program with two stable models, which the solve compares for duplicates.
+_MIXED_KB = """sort obj: k
+pred A(obj)
+pred B(obj)
+
+*** O ***
+A [= B.
+
+*** P ***
+B(k) :- not A(k).
+"""
+_CHOICE_KB = """pred A
+pred B
+
+*** P ***
+A :- not B.
+B :- not A.
+"""
+
+
+def test_traced_solves_enter_every_expected_span(tmp_path):
+    # a refactor that stops calling a traced function would otherwise fail
+    # only `perfbench/run.py --trace 1`, with "span ... has no calls"
+    from hybridmknf.interp import Atom, Known
+
+    tracer = _perfbench_module("tracer").Tracer()
+    expected = set().union(*_perfbench_module("run").EXPECTED_SPANS.values())
+    inputs = [[str(ROOT / "corpus" / "cargo.kb"), str(ROOT / "corpus" / "cargo_update.kb")]]
+    for name, text in (("mixed.kb", _MIXED_KB), ("choice.kb", _CHOICE_KB)):
+        (tmp_path / name).write_text(text)
+        inputs.append([str(tmp_path / name)])
+    load, solve, entail = tracer.entry_points()
+    tracer.install()
+    try:
+        for paths in inputs:
+            entail(solve(load(paths)), Known(Atom(0)))
+    finally:
+        tracer.uninstall()
+    missing = sorted(name for name in expected if not tracer.calls.get(name))
+    assert not missing, "spans never entered: " + ", ".join(missing)
 
 
 def _statement_grounding(tree: ast.Module) -> list[int]:

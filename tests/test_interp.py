@@ -37,13 +37,11 @@ from hybridmknf.interp import (
     holds_not,
     is_objective,
     model_sets_equal,
-    render_model_set,
     restrict,
     satisfies,
-    satisfies_s5,
 )
 
-from helpers import denot, nullary_sig
+from helpers import denot
 
 P, Q = Atom(0), Atom(1)
 
@@ -256,8 +254,8 @@ def test_satisfies_modal_queries():
     assert satisfies(m, Known(P))
     assert satisfies(m, NotKnown(Q))
     assert not satisfies(m, Known(Q))
-    assert satisfies_s5(m, [Known(P), NotKnown(Q)])
-    assert not satisfies_s5(m, [Known(P), Known(Q)])
+    assert all(satisfies(m, s) for s in [Known(P), NotKnown(Q)])
+    assert not all(satisfies(m, s) for s in [Known(P), Known(Q)])
 
 
 def test_literal_and_constant_queries_match_denotation():
@@ -300,9 +298,22 @@ def test_query_spanning_components():
 
 
 def test_query_resource_guards():
-    tiny = dataclasses.replace(DEFAULT_LIMITS, max_query_free_atoms=1)
-    with pytest.raises(ResourceLimit):
+    # unconstrained atoms count against max_parts like any other factor
+    tiny = dataclasses.replace(DEFAULT_LIMITS, max_parts=3)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"query enumeration over 4 interpretations exceeds "
+        r"EngineLimits\.max_parts = 3",
+    ):
         holds_known(FULL_SET, Disj((P, Q)), tiny)
+    assert not holds_known(FULL_SET, Disj((P, Q)), dataclasses.replace(tiny, max_parts=4))
+    # at the default budget of 2^21 interpretations, 17 free atoms are
+    # enumerated and 22 are refused before anything is built
+    wide = tuple(Atom(a) for a in range(17))
+    assert not holds_known(FULL_SET, Disj(wide))
+    assert holds_known(FULL_SET, Disj(wide + (Neg(P),)))
+    with pytest.raises(ResourceLimit, match=f"over {1 << 22} interpretations"):
+        holds_known(FULL_SET, Disj(tuple(Atom(a) for a in range(22))))
     two = ModelSet(
         (
             Component((0,), frozenset({0, 1})),
@@ -320,14 +331,13 @@ def test_query_resource_guards():
     with pytest.raises(ResourceLimit):
         holds_known(one, Disj((P, Q)), cramped)
     # the same guards hold for literals, before any answer
-    closed = dataclasses.replace(DEFAULT_LIMITS, max_query_free_atoms=0)
+    single = dataclasses.replace(DEFAULT_LIMITS, max_parts=1)
     with pytest.raises(
         ResourceLimit,
-        match=r"query ranges over 1 unconstrained atoms, more than "
-        r"EngineLimits\.max_query_free_atoms = 0",
+        match=r"query enumeration over 2 interpretations exceeds "
+        r"EngineLimits\.max_parts = 1",
     ):
-        holds_known(FULL_SET, Neg(P), closed)
-    single = dataclasses.replace(DEFAULT_LIMITS, max_parts=1)
+        holds_known(FULL_SET, Neg(P), single)
     with pytest.raises(
         ResourceLimit,
         match=r"query enumeration over 2 interpretations exceeds "
@@ -352,13 +362,6 @@ def test_atoms_of_collects_leaves():
     sent = Disj((P, Neg(Known(Q))))
     assert atoms_of(sent) == frozenset({0, 1})
     assert not is_objective(sent)
-
-
-def test_render_model_set_mentions_atoms():
-    sig = nullary_sig(2)
-    m = from_models([0, 1], [frozenset({0}), frozenset({0, 1})])
-    text = render_model_set(m, sig)
-    assert "p00" in text
 
 
 def test_denotation_cap():

@@ -93,6 +93,31 @@ def test_set_update_example():
     assert _sets(got) == [[0]]
 
 
+def test_unit_group_set_update_is_pointwise():
+    # with one atom per group, brute_set_update takes a shortcut over change
+    # masks; it must agree with the pointwise transcription of the update,
+    # also when some atoms lie outside every group
+    rng = random.Random(61)
+    outside = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        grouped = sorted(rng.sample(range(n), rng.randint(0, n)))
+        outside += len(grouped) < n
+
+        def family(count: int) -> list[frozenset[int]]:
+            masks = rng.sample(range(1 << n), min(count, 1 << n))
+            return [frozenset(a for a in range(n) if m >> a & 1) for m in masks]
+
+        starts = family(rng.randint(1, 8))
+        candidates = family(rng.randint(1, 12))
+        groups = [[a] for a in grouped]
+        want = set()
+        for i in starts:
+            want.update(brute_point_update(i, candidates, groups))
+        assert brute_set_update(starts, candidates, groups) == want
+    assert outside > 100
+
+
 def test_sequence_update_folds_left():
     got = brute_sequence_update(
         [[frozenset({0, 1})], [frozenset(), frozenset({0})]], [[0], [1]]

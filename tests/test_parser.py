@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from hybridmknf.errors import KbSyntaxError, UndeclaredSymbol
-from hybridmknf.interp import Known, NotKnown
+from hybridmknf.interp import Atom, Conj, Known, Neg, NotKnown
 from hybridmknf.kbmodel import AndConcept, ExistsConcept, Nominal, NotConcept
 from hybridmknf.parser import (
     build_kb,
@@ -183,6 +183,16 @@ def test_parse_query_forms():
     assert isinstance(q3, Known)
     both = parse_query("K P(a) & not Q(b)", sig)
     assert both is not None
+
+
+def test_parse_query_negated_literals():
+    sig = load_sequence([CARGO]).sig
+    s1 = Atom(sig.atom("CompliantShpmt", ("s1",)))
+    c1 = Atom(sig.atom("LowRiskEUCommodity", ("c1",)))
+    query = "K ~CompliantShpmt(s1) & not ~LowRiskEUCommodity(c1)"
+    assert parse_query(query, sig) == Conj((Known(Neg(s1)), NotKnown(Neg(c1))))
+    # a bare negated literal is read as a knowledge query too
+    assert parse_query("~CompliantShpmt(s1)", sig) == Known(Neg(s1))
 
 
 def test_parse_query_errors():

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridmknf.errors import ResourceLimit
-from hybridmknf.interp import Signature
 from hybridmknf.oracle import brute_dynamic_stable_models, brute_stable_models
 from hybridmknf.rules import (
     Rule,
     body_holds,
     conflicting,
     dynamic_stable_models,
-    render_rule,
     scope_of,
     stable_models,
 )
@@ -168,12 +166,6 @@ def test_tautologies_never_shift_models():
             dynamic_stable_models(progs + [taut], frozenset(range(4)))
         )
         assert base == padded
-
-
-def test_render_rule():
-    sig = Signature((), {}, {"a": (), "b": ()})
-    assert render_rule(Rule((T, 0), ((F, 1),)), sig) == "a :- not b."
-    assert render_rule(Rule((F, 0), ()), sig) == "not a."
 
 
 def test_stable_scope_guard():
