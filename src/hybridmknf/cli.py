@@ -380,7 +380,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _SEMANTIC_ERRORS as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}})
         return 1
-    except (HybridMknfError, ValueError, OSError) as err:
+    except (HybridMknfError, ValueError, OSError, RecursionError) as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}})
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -269,30 +269,6 @@ def eval_objective_masks(
     raise ValueError(f"sentence is not objective: {sent!r}")
 
 
-def render_sentence(sent: Sentence, sig: Signature) -> str:
-    if isinstance(sent, Atom):
-        return str(sig.atoms[sent.index])
-    if isinstance(sent, Neg):
-        return f"-{render_sentence(sent.sub, sig)}"
-    if isinstance(sent, Conj):
-        if not sent.subs:
-            return "true"
-        return "(" + " & ".join(render_sentence(s, sig) for s in sent.subs) + ")"
-    if isinstance(sent, Disj):
-        if not sent.subs:
-            return "false"
-        return "(" + " | ".join(render_sentence(s, sig) for s in sent.subs) + ")"
-    if isinstance(sent, Implies):
-        return (
-            f"({render_sentence(sent.head, sig)} <- {render_sentence(sent.body, sig)})"
-        )
-    if isinstance(sent, Known):
-        return f"K {render_sentence(sent.sub, sig)}"
-    if isinstance(sent, NotKnown):
-        return f"not {render_sentence(sent.sub, sig)}"
-    raise TypeError(f"not a sentence: {sent!r}")
-
-
 # ---------------------------------------------------------------------------
 # engine limits
 
@@ -430,16 +406,6 @@ class ModelSet:
 FULL_SET = ModelSet(())
 
 
-def from_models(atoms: Sequence[int], models: Iterable[frozenset[int]]) -> ModelSet:
-    """Single-component model set from an explicit list of interpretations."""
-    models = list(models)
-    if not models:
-        raise ValueError("a model set cannot be empty")
-    if not atoms:
-        return FULL_SET
-    return ModelSet((component_from_models(atoms, models),))
-
-
 def restrict(m: ModelSet, atoms: frozenset[int]) -> ModelSet:
     """Restriction of the denoted set to the given atoms.
 
@@ -466,9 +432,9 @@ def lift_bits(masks: np.ndarray, positions: list[int]) -> np.ndarray:
     return out
 
 
-def or_product(arrays: Iterable[np.ndarray], base: int = 0) -> np.ndarray:
-    """Every OR of base with one mask from each array, in product order."""
-    combined = np.array([base], dtype=np.int64)
+def or_product(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Every OR of one mask from each array, in product order."""
+    combined = np.zeros(1, dtype=np.int64)
     for a in arrays:
         combined = (combined[:, None] | a[None, :]).ravel()
     return combined

@@ -243,9 +243,6 @@ class Assertion(NamedTuple):
     args: tuple[str, ...]
     positive: bool = True
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset((self.pred,))
-
     def ground(self, sig: Signature) -> Sentence:
         atom = Atom(sig.atom(self.pred, self.args))
         return atom if self.positive else Neg(atom)
@@ -258,14 +255,6 @@ class Ontology:
 
     def is_empty(self) -> bool:
         return not self.axioms and not self.assertions
-
-    def predicates(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for a in self.axioms:
-            out |= a.predicates()
-        for a in self.assertions:
-            out |= a.predicates()
-        return out
 
     def ground(self, sig: Signature) -> list[Sentence]:
         out: list[Sentence] = []
@@ -404,12 +393,6 @@ class HybridKb:
         out: list[Sentence] = list(map(Known, self.ontology_sentences()))
         literal = cache(modal_literal)
         out.extend(modal_rule(rule, literal) for rule in self.ground_rules())
-        return out
-
-    def predicates(self) -> frozenset[str]:
-        out = self.ontology.predicates()
-        for schema in self.program:
-            out |= schema.predicates()
         return out
 
 

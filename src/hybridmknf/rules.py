@@ -39,15 +39,6 @@ def scope_of(rules: Iterable[Rule]) -> frozenset[int]:
     return frozenset(out)
 
 
-def conflicting(a: Rule, b: Rule) -> bool:
-    """Heads name the same atom with opposite default status."""
-    return a.head[1] == b.head[1] and a.head[0] != b.head[0]
-
-
-def body_holds(rule: Rule, true_atoms: frozenset[int]) -> bool:
-    return all((atom in true_atoms) == positive for positive, atom in rule.body)
-
-
 # (stage, head is positive, head atom mask, positive body mask, negative
 # body mask) of one compiled rule
 _MaskRule = tuple[int, bool, int, int, int]

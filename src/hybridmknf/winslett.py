@@ -10,17 +10,17 @@ The theory and the start set fall apart into independent atom groups, and
 one _GroupSolver handles each.  It fixes a small separator of high-degree
 atoms by enumeration, after which the remaining sentences fall apart into
 blocks that are enumerated, in each block's own bits, and minimised
-independently.  It has two entry points.  model_components() answers a
-free start set.  When one separator value is live, its answer is the
-separator fixed to that value plus one component per block; otherwise
-model_parts() recombines the blocks per live value into one flat
-component.  updated_parts(comps) answers a given start set with flat
-parts.  It does not walk the start points one by one: the start
-components split the group into factors, each factor is minimised once
-per live separator value, and the results are products of per-factor
-part classes, counted against the parts budget before any is built.
-Only the flat paths need the whole group in one int64 mask, so only they
-refuse a group wider than _LONG_BITS.  No model remaining comes back as
+independently.  model_components() answers a free start set.  Its terms
+are the live separator values under which every block has a model; one
+term comes back as the separator fixed to it plus one component per
+block.  updated_components(comps) answers a given start set.  It does not
+walk the start points one by one: the start components split the group
+into factors, each factor is minimised once per live separator value,
+and the results are products of per-factor part classes.  Several terms,
+and every update, come back as one flat component holding a union of
+products, counted against the parts budget before any is built.  Only
+that flat output needs the whole group in one int64 mask, so only it
+refuses a group wider than _LONG_BITS.  No model remaining comes back as
 no component, which update_with_theory reports as EmptyUpdate.
 """
 
@@ -284,30 +284,39 @@ class _GroupSolver:
 
     def model_components(self) -> list[Component]:
         """All models of the theory over the group, or no component when it
-        has none.  With one live separator value they are the separator fixed
-        to it times each block's models, one component each; otherwise one
-        component holds them as flat part masks."""
-        if len(self.live) > 1:
-            parts = self.model_parts()
-            return [Component(self.atoms, parts)] if parts.size else []
-        if not self.live:
+        has none.  Its terms are the live values under which every block has
+        a model.  One term gives the separator fixed to it times each block's
+        models, one component each; several give one flat component."""
+        terms = {}
+        for li, e in enumerate(self.live):
+            tables = [self.block_models(j, e) for j in range(len(self.blocks))]
+            if all(t.size for t in tables):
+                terms[li] = tables
+        if len(terms) > 1:
+            self._group_bits()
+            return self._union_component(
+                [
+                    [self.live_masks[li:li + 1]]
+                    + [lift_bits(t, bits) for t, bits in zip(tables, self.block_bits)]
+                    for li, tables in terms.items()
+                ],
+                "theory has too many models to enumerate",
+            )
+        if not terms:
             return []
-        (e,) = self.live
-        tables = [self.block_models(j, e) for j in range(len(self.blocks))]
-        if any(t.size == 0 for t in tables):
-            return []
+        ((li, tables),) = terms.items()
         for t in tables:
             if t.size > self.limits.max_parts:
                 raise ResourceLimit(
                     f"theory has too many models to enumerate: at least {t.size}, "
                     f"more than EngineLimits.max_parts = {self.limits.max_parts}"
                 )
-        out = [Component(self.separator, self.live)] if self.separator else []
+        out = [Component(self.separator, [self.live[li]])] if self.separator else []
         out.extend(Component(b, t) for b, t in zip(self.blocks, tables))
         return out
 
     def _group_bits(self) -> None:
-        """Masks over the whole group, bit i for atoms[i], for the flat paths."""
+        """Masks over the whole group, bit i for atoms[i], for the flat output."""
         if len(self.atoms) > _LONG_BITS:
             raise ResourceLimit(
                 f"group of {len(self.atoms)} atoms exceeds the mask width "
@@ -324,29 +333,9 @@ class _GroupSolver:
         """block_models(j, e) in group bit space."""
         return lift_bits(self.block_models(j, e), self.block_bits[j])
 
-    def model_parts(self) -> np.ndarray:
-        """All models of the theory over the group, as distinct part masks."""
-        self._group_bits()
-        chunks = []
-        total = 0
-        for e, e_mask in zip(self.live, self.live_masks.tolist()):
-            arrays = [self._group_models(j, e) for j in range(len(self.blocks))]
-            if any(a.size == 0 for a in arrays):
-                continue
-            count = 1
-            for a in arrays:
-                count *= a.size
-            total += count
-            if total > self.limits.max_parts:
-                raise ResourceLimit(
-                    f"theory has too many models to enumerate: at least {total}, "
-                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
-                )
-            chunks.append(or_product(arrays, e_mask))
-        return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-
-    def updated_parts(self, comps: Sequence[Component]) -> np.ndarray:
-        """Models of the theory at minimal change from each start point, sorted.
+    def updated_components(self, comps: Sequence[Component]) -> list[Component]:
+        """Models of the theory at minimal change from each start point, as
+        one flat component, or no component when there are none.
 
         The start points are the group interpretations that the disjoint comps
         allow, with the group's other atoms free.  They form a product of
@@ -393,25 +382,29 @@ class _GroupSolver:
                             li, e_mask, columns[li],
                         )
                     )
-        # count every surviving result before building any
         products = []
-        total = 0
         for li, per_factor in enumerate(pieces):
             split = [_part_classes(factor_pieces) for factor_pieces in per_factor]
             width = 0 if columns[li] is None else columns[li].size
             for combo in _surviving_combos([vectors for _, vectors in split], width):
-                arrays = [parts[c] for (parts, _), c in zip(split, combo)]
-                total += math.prod(a.size for a in arrays)
-                products.append(arrays)
+                products.append([parts[c] for (parts, _), c in zip(split, combo)])
+        return self._union_component(products, "update produced too many distinct results")
+
+    def _union_component(
+        self, products: list[list[np.ndarray]], what: str
+    ) -> list[Component]:
+        """One component over the group holding every OR of one mask from
+        each array of some product, or none without products.  The sizes
+        of the products are summed against max_parts before any is built."""
+        total = sum(math.prod(a.size for a in arrays) for arrays in products)
         if total > self.limits.max_parts:
             raise ResourceLimit(
-                f"update produced too many distinct results: at least "
-                f"{total}, more than EngineLimits.max_parts = "
+                f"{what}: at least {total}, more than EngineLimits.max_parts = "
                 f"{self.limits.max_parts}"
             )
         if not products:
-            return np.zeros(0, dtype=np.int64)
-        return sorted_unique(np.concatenate([or_product(p) for p in products]))
+            return []
+        return [Component(self.atoms, np.concatenate([or_product(p) for p in products]))]
 
     def _start_factors(
         self, comps: Sequence[Component]
@@ -540,8 +533,7 @@ def update_with_theory(
                     f"update start set is too large to enumerate: {count} starts, "
                     f"more than EngineLimits.max_parts = {limits.max_parts}"
                 )
-            parts = solver.updated_parts(m_comps)
-            comps = [Component(atoms, parts)] if parts.size else []
+            comps = solver.updated_components(m_comps)
         if not comps:
             raise EmptyUpdate("updating theory has no classical models")
         out.extend(comps)

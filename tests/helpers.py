@@ -3,11 +3,15 @@ sentences, programs and knowledge bases, and denotation comparisons."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from hybridmknf.interp import (
+    FULL_SET,
     Atom,
     Component,
     Implies,
@@ -15,6 +19,7 @@ from hybridmknf.interp import (
     Neg,
     Sentence,
     Signature,
+    component_from_models,
     conj,
     denotation,
     disj,
@@ -36,6 +41,20 @@ from hybridmknf.kbmodel import (
 )
 from hybridmknf.rules import Rule
 from hybridmknf.splitting import LayerPlan, is_splitting_set
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A perfbench module, loaded from its file.  workloads imports cargo_n
+    and kbgen by name, so each is registered under its own name."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def unary_sig(n_preds: int, n_consts: int = 1) -> Signature:
@@ -104,6 +123,16 @@ def denot_family(
 
 def singleton_component(atom: int, true: bool) -> Component:
     return Component((atom,), frozenset((1 if true else 0,)))
+
+
+def from_models(atoms: Sequence[int], models: Iterable[frozenset[int]]) -> ModelSet:
+    """Single-component model set from an explicit list of interpretations."""
+    models = list(models)
+    if not models:
+        raise ValueError("a model set cannot be empty")
+    if not atoms:
+        return FULL_SET
+    return ModelSet((component_from_models(atoms, models),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,34 +7,19 @@ answer."""
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from hybridmknf import dynamic_models, entails, load_sequence, parse_query
 from hybridmknf.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from helpers import perfbench_module
 
-
-def _perfbench(name: str):
-    """A perfbench module, loaded from its file.  workloads imports cargo_n
-    and kbgen by name, so each is registered under its own name."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
-
-
-cargo_n = _perfbench("cargo_n")
-_perfbench("kbgen")
-CRITERION_1 = _perfbench("workloads").CRITERION_1
+cargo_n = perfbench_module("cargo_n")
+perfbench_module("kbgen")
+CRITERION_1 = perfbench_module("workloads").CRITERION_1
 
 
 def _cli(argv: list[str]) -> tuple[int, dict]:

@@ -148,6 +148,27 @@ def test_parse_and_io_errors_exit_2(kbdir):
     assert payload["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize(
+    "concept",
+    ["(" * 3000 + "A" + ")" * 3000, "~" * 3000 + "A"],
+    ids=["parentheses", "complements"],
+)
+def test_deeply_nested_concept_exits_2(tmp_path, concept):
+    (tmp_path / "deep.kb").write_text(f"pred A\n*** O ***\n{concept} [= A.\n")
+    rc, out, err = run(["models", str(tmp_path / "deep.kb")])
+    assert rc == 2
+    assert json.loads(out)["error"]["type"] == "RecursionError"
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deeply_nested_plan_exits_2(tmp_path):
+    (tmp_path / "plan.json").write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(["models", CARGO, "--sequence", str(tmp_path / "plan.json")])
+    assert rc == 2
+    assert json.loads(out)["error"]["type"] == "RecursionError"
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])

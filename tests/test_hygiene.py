@@ -1,9 +1,10 @@
 """Source hygiene: no unused imports and no unreferenced names in the
-engine package, the oracle imported only where the engine is allowed to
-call it, every engine function the benchmark tracer wraps still exists
-and tiny solves still enter every span the traced benchmark expects,
-statements grounded only through the knowledge-base entry points, and every
-budget error names the cap that stopped it."""
+engine package, no public engine name that only the tests use, the oracle
+imported only where the engine is allowed to call it, every engine
+function the benchmark tracer wraps still exists and tiny solves still
+enter every span the traced benchmark expects, statements grounded only
+through the knowledge-base entry points, and every budget error names the
+cap that stopped it."""
 
 from __future__ import annotations
 
@@ -85,30 +86,56 @@ def _reference_names(tree: ast.AST):
             yield node.name
 
 
-def test_every_public_name_is_referenced():
-    # a public function, class or method that nothing in the engine, the
-    # tests or the benchmark names, outside its own body, is dead code
-    trees = {
-        p: ast.parse(p.read_text())
-        for folder in ("src", "tests", "perfbench")
-        for p in sorted((ROOT / folder).rglob("*.py"))
-    }
-    refs = Counter(n for tree in trees.values() for n in _reference_names(tree))
+def _unreferenced(
+    referrers: list[Path], modules: list[Path], methods: bool
+) -> list[str]:
+    """Public functions and classes of the modules, with their methods when
+    asked, that no referrer names outside the definition's own body."""
+    trees = {p: ast.parse(p.read_text()) for p in {*referrers, *modules}}
+    refs = Counter(n for p in referrers for n in _reference_names(trees[p]))
     unreferenced = []
-    for path in MODULES:
+    for path in modules:
         defs = []
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append(node)
-            if isinstance(node, ast.ClassDef):
+            if methods and isinstance(node, ast.ClassDef):
                 defs.extend(n for n in node.body if isinstance(n, ast.FunctionDef))
         for node in defs:
             inside = sum(1 for n in _reference_names(node) if n == node.name)
             if not node.name.startswith("_") and refs[node.name] == inside:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    return unreferenced
+
+
+def test_every_public_name_is_referenced():
+    # a public function, class or method that nothing in the engine, the
+    # tests or the benchmark names, outside its own body, is dead code
+    referrers = [
+        p for folder in ("src", "tests", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    unreferenced = _unreferenced(referrers, MODULES, methods=True)
     assert not unreferenced, "unreferenced public names: " + ", ".join(
         unreferenced
     )
+
+
+def test_every_public_engine_name_has_a_caller_outside_the_tests():
+    # a public function or class that only the tests name is API kept for
+    # the tests alone; the package exports and the oracle are exempt
+    import hybridmknf
+
+    referrers = sorted(SRC.rglob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").rglob("*.py"))
+        if not p.name.startswith("test_") and p.name != "conftest.py"
+    ]
+    modules = [p for p in MODULES if p.name != "oracle.py"]
+    test_only = [
+        entry for entry in _unreferenced(referrers, modules, methods=False)
+        if entry.split()[-1] not in hybridmknf.__all__
+    ]
+    assert not test_only, "public names only the tests use: " + ", ".join(test_only)
 
 
 def _names_oracle(node: ast.AST) -> bool:

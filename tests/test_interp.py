@@ -32,7 +32,6 @@ from hybridmknf.interp import (
     denotation,
     eval_objective,
     expand,
-    from_models,
     holds_known,
     holds_not,
     is_objective,
@@ -41,7 +40,7 @@ from hybridmknf.interp import (
     satisfies,
 )
 
-from helpers import denot
+from helpers import denot, from_models
 
 P, Q = Atom(0), Atom(1)
 

@@ -9,12 +9,13 @@ import pytest
 
 from hybridmknf.errors import SortMismatch, UndeclaredSymbol, UnsortableVariable
 from hybridmknf.interp import (
+    Atom,
     Implies,
     Known,
+    NotKnown,
     Signature,
     conj,
     eval_objective,
-    render_sentence,
 )
 from hybridmknf.kbmodel import (
     BOT,
@@ -62,7 +63,7 @@ def test_variable_convention():
 def test_concept_sentences():
     sig = veh_sig()
     name = concept_sentence(ConceptName("fast"), "car1", sig)
-    assert render_sentence(name, sig) == "fast(car1)"
+    assert name == Atom(sig.atom("fast", ("car1",)))
     both = concept_sentence(
         AndConcept((ConceptName("fast"), NotConcept(ConceptName("slow")))),
         "car1",
@@ -128,7 +129,7 @@ def test_assertion_and_ontology_grounding():
     )
     sents = ont.ground(sig)
     assert len(sents) == 4
-    assert ont.predicates() == frozenset({"fast", "slow"})
+    assert ont.axioms[0].predicates() == frozenset({"fast", "slow"})
     assert not ont.is_empty()
     assert Ontology().is_empty()
 
@@ -211,23 +212,20 @@ def test_modal_sentences_shape():
     sents = kb.modal_sentences()
     # 2 axiom instances + 1 assertion + 2 rule instances
     assert len(sents) == 5
-    texts = {render_sentence(s, sig) for s in sents}
-    assert "K fast(car1)" in texts
-    assert "(K slow(car1) <- not fast(car1))" in texts
-    assert kb.predicates() == frozenset({"fast", "slow"})
+    fast1 = Atom(sig.atom("fast", ("car1",)))
+    slow1 = Atom(sig.atom("slow", ("car1",)))
+    assert Known(fast1) in sents
+    assert Implies(NotKnown(fast1), Known(slow1)) in sents
 
 
 def test_modal_literal_and_rule():
     sig = veh_sig()
     fast1 = sig.atom("fast", ("car1",))
     slow1 = sig.atom("slow", ("car1",))
-    assert render_sentence(modal_literal((True, fast1)), sig) == "K fast(car1)"
-    assert render_sentence(modal_literal((False, fast1)), sig) == "not fast(car1)"
+    assert modal_literal((True, fast1)) == Known(Atom(fast1))
+    assert modal_literal((False, fast1)) == NotKnown(Atom(fast1))
     rule = Rule((True, slow1), ((False, fast1),))
-    assert (
-        render_sentence(modal_rule(rule), sig)
-        == "(K slow(car1) <- not fast(car1))"
-    )
+    assert modal_rule(rule) == Implies(NotKnown(Atom(fast1)), Known(Atom(slow1)))
 
 
 def _modal_reading(kb: HybridKb) -> list:

@@ -12,8 +12,6 @@ from hybridmknf.errors import ResourceLimit
 from hybridmknf.oracle import brute_dynamic_stable_models, brute_stable_models
 from hybridmknf.rules import (
     Rule,
-    body_holds,
-    conflicting,
     dynamic_stable_models,
     scope_of,
     stable_models,
@@ -31,19 +29,6 @@ def _sets(models):
 
 def _raw(rules):
     return [(r.head, r.body) for r in rules]
-
-
-def test_conflicting_rules():
-    assert conflicting(Rule((T, P), ()), Rule((F, P), ()))
-    assert not conflicting(Rule((T, P), ()), Rule((T, P), ()))
-    assert not conflicting(Rule((T, P), ()), Rule((F, Q), ()))
-
-
-def test_body_holds():
-    r = Rule((T, P), ((T, Q), (F, 2)))
-    assert body_holds(r, frozenset({Q}))
-    assert not body_holds(r, frozenset({Q, 2}))
-    assert not body_holds(r, frozenset())
 
 
 def test_scope_of_unions_heads_and_bodies():
@@ -140,17 +125,15 @@ def test_dynamic_models_satisfy_newest_program():
             for _ in range(rng.randint(2, 3))
         ]
         for s in dynamic_stable_models(progs, frozenset(range(4))):
-            for rule in progs[-1]:
-                if body_holds(rule, s):
-                    want, atom = rule.head
-                    # a fired newest rule may only be overridden by a
-                    # same-stage conflict, which still settles the atom
-                    rivals = [
-                        r
-                        for r in progs[-1]
-                        if conflicting(r, rule) and body_holds(r, s)
-                    ]
-                    assert rivals or (atom in s) == want
+            fired = [
+                r for r in progs[-1]
+                if all((atom in s) == positive for positive, atom in r.body)
+            ]
+            for want, atom in (r.head for r in fired):
+                # a fired newest rule may only be overridden by a fired rule
+                # of the same stage with the opposite head, which still
+                # settles the atom
+                assert (atom in s) == want or (not want, atom) in [r.head for r in fired]
 
 
 def test_tautologies_never_shift_models():

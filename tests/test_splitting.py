@@ -95,7 +95,8 @@ def test_bottom_top_partition_statements(cargo):
         kb.ontology.assertions
     )
     assert len(low.program) + len(high.program) == len(kb.program)
-    assert low.predicates() <= u1
+    assert all(s.predicates() <= u1 for s in low.ontology.axioms + low.program)
+    assert all(a.pred in u1 for a in low.ontology.assertions)
 
 
 def test_bottom_composes_by_intersection(cargo):

@@ -26,7 +26,6 @@ from hybridmknf.interp import (
     atoms_of,
     denotation,
     eval_objective,
-    from_models,
     interpretation_count,
     model_sets_equal,
 )
@@ -37,7 +36,7 @@ from hybridmknf.winslett import (
     update_with_theory,
 )
 
-from helpers import denot, rnd_objective
+from helpers import denot, from_models, rnd_objective
 
 P, Q = Atom(0), Atom(1)
 UNIT_GROUPS6 = [[a] for a in range(6)]
@@ -298,14 +297,14 @@ def _eight_atom_draws(seed: int, count: int):
 
 def test_update_matches_brute_over_many_start_points(monkeypatch):
     shapes = []
-    solve = winslett._GroupSolver.updated_parts
+    solve = winslett._GroupSolver.updated_components
 
     def recording(self, comps):
         starts = interpretation_count(comps, len(self.atoms))
         shapes.append((len(self.separator), len(self.blocks), starts))
         return solve(self, comps)
 
-    monkeypatch.setattr(winslett._GroupSolver, "updated_parts", recording)
+    monkeypatch.setattr(winslett._GroupSolver, "updated_components", recording)
     for m, upd in _eight_atom_draws(57, 60):
         try:
             want = brute_set_update(
@@ -438,6 +437,39 @@ def test_group_without_live_separator_value_has_no_models():
         theory_model_set(sentences, ONE_ATOM_BLOCKS)
 
 
+def test_one_surviving_live_value_gives_one_component_per_block():
+    # s is free, so both of its values are live, but with s true the a
+    # block has no model: only s false is a term, and the models come back
+    # as s fixed false, a fixed true and b free, one component each
+    sentences = [Disj((A, S)), Implies(S, B), Implies(S, Conj((A, Neg(A))))]
+    scoped = [(s, atoms_of(s)) for s in sentences]
+    solver = winslett._GroupSolver((0, 1, 2), scoped, ONE_ATOM_BLOCKS)
+    assert solver.separator == (0,) and solver.live == [0, 1]
+    got = update_with_theory(FULL_SET, sentences, ONE_ATOM_BLOCKS)
+    assert [(c.atoms, c.parts.tolist()) for c in got.components] == [
+        ((0,), [0]), ((1,), [1]), ((2,), [0, 1]),
+    ]
+    assert denot(got, [0, 1, 2]) == frozenset(brute_fo_models(sentences, [0, 1, 2]))
+
+
+def test_several_surviving_live_values_give_one_flat_component():
+    # with s false, a and b are free (4 models); with s true, both hold
+    # (1 model): one component over the group holds all 5
+    sentences = [Disj((A, Neg(S))), Disj((B, Neg(S)))]
+    got = update_with_theory(FULL_SET, sentences, ONE_ATOM_BLOCKS)
+    (flat,) = got.components
+    assert flat.atoms == (0, 1, 2) and len(flat.parts) == 5
+    assert denot(got, [0, 1, 2]) == frozenset(brute_fo_models(sentences, [0, 1, 2]))
+    # the budget error counts every term, not only those before the cap
+    three = dataclasses.replace(ONE_ATOM_BLOCKS, max_parts=3)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^theory has too many models to enumerate: at least 5, "
+        r"more than EngineLimits\.max_parts = 3$",
+    ):
+        update_with_theory(FULL_SET, sentences, three)
+
+
 def test_wide_group_with_one_live_separator_value_solves():
     # with the hub fixed true, the 65-atom group of test_cap_errors_name_the_cap
     # has one live separator value: it comes back as the hub and one
@@ -503,8 +535,6 @@ def test_one_live_value_gives_one_component_per_block(case):
     solver = winslett._GroupSolver(group, scoped, limits)
     assert solver.separator == tuple(range(n_sep)) and len(solver.live) == 1
     assert len(got.components) == 1 + len(solver.blocks) >= 3
-    flat = ModelSet((Component(group, solver.model_parts()),))
-    assert model_sets_equal(got, flat)
     # the per-block path keeps the parts budget, block by block
     largest = max(len(c.parts) for c in got.components)
     capped = dataclasses.replace(limits, max_parts=largest - 1)
@@ -585,7 +615,7 @@ def test_factored_update_matches_oracle(monkeypatch):
     # every start-set shape that splits a group into factors occurs, and each
     # result equals the exhaustive pointwise update at three chunk sizes
     seen = set()
-    solve = winslett._GroupSolver.updated_parts
+    solve = winslett._GroupSolver.updated_components
 
     def recording(self, comps):
         units = [set(self.separator)] + [set(b) for b in self.blocks]
@@ -605,7 +635,7 @@ def test_factored_update_matches_oracle(monkeypatch):
             seen.add("a product over the separator and the blocks")
         return solve(self, comps)
 
-    monkeypatch.setattr(winslett._GroupSolver, "updated_parts", recording)
+    monkeypatch.setattr(winslett._GroupSolver, "updated_components", recording)
     _check_factored_update()
     assert seen == {
         "several live values",
