@@ -274,6 +274,17 @@ def _check_updatable_command(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if updatable else 1
 
 
+def _positive_int(text: str) -> int:
+    """A budget flag's value: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hybridmknf",
@@ -297,11 +308,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             )
         if budgets:
             p.add_argument(
-                "--max-component-atoms", type=int, metavar="N",
+                "--max-component-atoms", type=_positive_int, metavar="N",
                 help="per-block enumeration budget",
             )
             p.add_argument(
-                "--max-branches", type=int, metavar="N",
+                "--max-branches", type=_positive_int, metavar="N",
                 help="cap on solution branches across layers",
             )
         return p

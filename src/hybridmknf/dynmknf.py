@@ -21,6 +21,7 @@ from .interp import (
     ModelSet,
     Sentence,
     component_from_models,
+    conj,
     model_sets_equal,
     satisfies,
 )
@@ -143,11 +144,13 @@ def dynamic_models(
             )
         branches = new_branches
 
-    newest = dkb.newest().modal_sentences()
+    # the newest base read as one conjunction, checked with one call per
+    # branch; its first false sentence ends the check
+    newest = conj(dkb.newest().modal_sentences())
     out: list[ModelSet] = []
     for comps in branches:
         m = ModelSet(tuple(comps))
-        if all(satisfies(m, s, limits) for s in newest):
+        if satisfies(m, newest, limits):
             if not any(model_sets_equal(m, seen) for seen in out):
                 out.append(m)
     return out

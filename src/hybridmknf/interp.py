@@ -460,17 +460,47 @@ def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
     return or_product(arrays)
 
 
+def _enumeration_guard(cost: float, components: int, limits: EngineLimits) -> None:
+    """Refuse a query whose candidate count exceeds EngineLimits.max_parts."""
+    if cost <= limits.max_parts:
+        return
+    if components > 1:
+        raise CrossComponentFormula(
+            f"formula spans {components} components whose joint enumeration "
+            f"of {cost:.0f} interpretations exceeds EngineLimits.max_parts = "
+            f"{limits.max_parts}"
+        )
+    raise ResourceLimit(
+        f"query enumeration over {cost:.0f} interpretations exceeds "
+        f"EngineLimits.max_parts = {limits.max_parts}"
+    )
+
+
 def holds_known(
     m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS
 ) -> bool:
     """Whether an objective sentence is true in every denoted interpretation.
 
-    Atoms outside every component range freely.  A constant sentence is
-    evaluated once; an atom or a negated atom is read from the fixed-bit
-    masks of the component that owns the atom.  Any other sentence is
-    evaluated over the product of the components it touches, which is only
-    attempted while the candidate count stays inside the configured budget.
+    Atoms outside every component range freely.  An atom or a negated atom
+    is read from the fixed-bit masks of the component that owns the atom,
+    and a free one never holds.  A constant sentence is evaluated once.  Any
+    other sentence is evaluated over the product of the components it
+    touches, which is only attempted while the candidate count stays inside
+    the configured budget; a literal counts its owner's parts, or 2 when
+    free, against the same budget.
     """
+    negated = sent.__class__ is Neg
+    literal = sent.sub if negated else sent
+    if literal.__class__ is Atom:
+        place = m.atom_owner.get(literal.index)
+        if place is None:
+            _enumeration_guard(2, 1, limits)
+            return False
+        comp = m.components[place[0]]
+        _enumeration_guard(len(comp.parts), 1, limits)
+        fixed = comp.fixed_false if negated else comp.fixed_true
+        return bool(fixed >> place[1] & 1)
+
     rel = atoms_of(sent)
     owner = m.atom_owner
     touched = [
@@ -480,28 +510,9 @@ def holds_known(
     cost = float(1 << len(free))
     for c in touched:
         cost *= len(c.parts)
-    if cost > limits.max_parts:
-        if len(touched) > 1:
-            raise CrossComponentFormula(
-                f"formula spans {len(touched)} components whose joint enumeration "
-                f"of {cost:.0f} interpretations exceeds EngineLimits.max_parts = "
-                f"{limits.max_parts}"
-            )
-        raise ResourceLimit(
-            f"query enumeration over {cost:.0f} interpretations exceeds "
-            f"EngineLimits.max_parts = {limits.max_parts}"
-        )
-
+    _enumeration_guard(cost, len(touched), limits)
     if not rel:
         return eval_objective(sent, frozenset())
-    negated = isinstance(sent, Neg)
-    literal = sent.sub if negated else sent
-    if isinstance(literal, Atom):
-        if free:
-            return False
-        fixed = touched[0].fixed_false if negated else touched[0].fixed_true
-        return bool(fixed >> owner[literal.index][1] & 1)
-
     atoms = [a for c in touched for a in c.atoms] + free
     bit = {a: i for i, a in enumerate(atoms)}
     return bool(eval_objective_masks(sent, bit, expand(touched, atoms)).all())
@@ -518,30 +529,68 @@ def holds_not(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS
 def _fold_modalities(
     m: ModelSet, sent: Sentence, limits: EngineLimits
 ) -> Sentence:
-    """Replace modal subsentences by their constant truth value in m."""
-    if isinstance(sent, Known):
+    """Replace modal subsentences by their constant truth value in m, and
+    fold constants upwards.
+
+    The result is TRUE, FALSE or an objective sentence without constant
+    parts.  A conjunction stops at its first false conjunct, a disjunction
+    at its first true disjunct, and a conditional whose body is false is
+    true without its head; what a stop skips is never evaluated.
+    """
+    kind = sent.__class__
+    if kind is Atom:
+        return sent
+    if kind is Known or kind is NotKnown:
         inner = _fold_modalities(m, sent.sub, limits)
-        return TRUE if holds_known(m, inner, limits) else FALSE
-    if isinstance(sent, NotKnown):
+        if _is_empty(inner, Conj) or _is_empty(inner, Disj):
+            # m is nonempty, so K and not of a constant are that constant
+            # and its opposite
+            known = _is_empty(inner, Conj)
+        else:
+            known = holds_known(m, inner, limits)
+        return TRUE if known == (kind is Known) else FALSE
+    if kind is Neg:
         inner = _fold_modalities(m, sent.sub, limits)
-        return TRUE if holds_not(m, inner, limits) else FALSE
-    if isinstance(sent, Neg):
-        return Neg(_fold_modalities(m, sent.sub, limits))
-    if isinstance(sent, Conj):
-        return conj([_fold_modalities(m, s, limits) for s in sent.subs])
-    if isinstance(sent, Disj):
-        return disj([_fold_modalities(m, s, limits) for s in sent.subs])
-    if isinstance(sent, Implies):
-        return Implies(
-            _fold_modalities(m, sent.body, limits),
-            _fold_modalities(m, sent.head, limits),
-        )
-    return sent
+        if _is_empty(inner, Conj):
+            return FALSE
+        if _is_empty(inner, Disj):
+            return TRUE
+        return Neg(inner)
+    if kind is Conj or kind is Disj:
+        stop, unit = (Disj, Conj) if kind is Conj else (Conj, Disj)
+        kept = []
+        for s in sent.subs:
+            r = _fold_modalities(m, s, limits)
+            if _is_empty(r, stop):
+                return r
+            if not _is_empty(r, unit):
+                kept.append(r)
+        # with nothing kept, kind(()) is the unit: TRUE or FALSE
+        return kept[0] if len(kept) == 1 else kind(tuple(kept))
+    if kind is Implies:
+        body = _fold_modalities(m, sent.body, limits)
+        if _is_empty(body, Disj):
+            return TRUE
+        head = _fold_modalities(m, sent.head, limits)
+        if _is_empty(body, Conj) or _is_empty(head, Conj):
+            return head
+        if _is_empty(head, Disj):
+            return Neg(body)
+        return Implies(body, head)
+    raise TypeError(f"not a sentence: {sent!r}")
 
 
 def satisfies(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Truth of one sentence in m, with m doubling as the negation context."""
+    """Truth of one sentence in m, with m doubling as the negation context.
+
+    Modal parts are constant over m, so a sentence whose residue folds to a
+    constant is answered without another query.
+    """
     residue = _fold_modalities(m, sent, limits)
+    if _is_empty(residue, Conj):
+        return True
+    if _is_empty(residue, Disj):
+        return False
     return holds_known(m, residue, limits)
 
 

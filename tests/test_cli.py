@@ -59,6 +59,11 @@ def kbdir(tmp_path_factory):
     (d / "mixb.kb").write_text(
         "sort obj: a\npred P(obj)\n*** P ***\nP(a) :- not P(a).\n"
     )
+    # an even negative loop: two stable models
+    (d / "even.kb").write_text(
+        "sort obj: a\npred A(obj)\npred B(obj)\n*** P ***\n"
+        "A(a) :- not B(a).\nB(a) :- not A(a).\n"
+    )
     return d
 
 
@@ -315,10 +320,43 @@ def test_failed_cross_check_exits_1(kbdir, monkeypatch):
         assert payload["oracle"] == disagree
 
 
-def test_resource_limit_exits_2():
-    rc, payload = run_json(["models", CARGO, "--max-component-atoms", "1"])
+@pytest.mark.parametrize("command", ["models", "update", "entail"])
+@pytest.mark.parametrize("flag", ["--max-component-atoms", "--max-branches"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_flags_below_one_are_usage_errors(command, flag, value):
+    argv = [command, CARGO, flag, value]
+    if command == "entail":
+        argv += ["--query", "K CompliantShpmt(s1)"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {int(value)}" in err.getvalue()
+    assert "Traceback" not in err.getvalue() and not out.getvalue()
+
+
+def _assert_budget_refusal(argv, field):
+    """Exit 2 with a ResourceLimit that names its EngineLimits field, and no
+    partial answer."""
+    rc, payload = run_json(argv)
     assert rc == 2
     assert payload["error"]["type"] == "ResourceLimit"
+    assert f"EngineLimits.{field} = 1" in payload["error"]["message"]
+    assert "models" not in payload and "count" not in payload
+
+
+def test_resource_limit_exits_2():
+    _assert_budget_refusal(
+        ["models", CARGO, "--max-component-atoms", "1"], "max_component_atoms"
+    )
+
+
+def test_branch_budget_exits_2(kbdir):
+    even = str(kbdir / "even.kb")
+    rc, payload = run_json(["models", even])
+    assert rc == 0 and payload["count"] == 2
+    _assert_budget_refusal(["models", even, "--max-branches", "1"], "max_branches")
 
 
 def test_explicit_plan_gives_same_answer():

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from hybridmknf import dynmknf, interp, splitting
 from hybridmknf.dynmknf import (
     MIXED_LAYER,
     ONTOLOGY_LAYER,
@@ -33,6 +34,8 @@ from hybridmknf.interp import (
     Known,
     ModelSet,
     NotKnown,
+    atoms_of,
+    holds_known,
     model_sets_equal,
     restrict,
 )
@@ -389,3 +392,74 @@ def test_cargo_update_keeps_partial_inspection_of_s3():
     assert holds(updated, after, "not EUCountry(portugal)")
     assert holds(updated, after, "not CommodCountry(c3, portugal)")
     assert holds(updated, after, "K PartialInspection(s3)")
+
+
+@pytest.mark.parametrize(
+    "files",
+    [["corpus/cargo.kb"], ["corpus/cargo.kb", "corpus/cargo_update.kb"]],
+    ids=["models", "update"],
+)
+def test_cargo_final_check_is_one_query_per_branch(monkeypatch, files):
+    """The newest base is checked as one conjunction, and every query that
+    reaches holds_known names an atom: constants are folded before."""
+    dkb = load_sequence(files)
+    checked = []
+    real_satisfies = dynmknf.satisfies
+
+    def counting_satisfies(m, sent, limits=DEFAULT_LIMITS):
+        checked.append(m)
+        return real_satisfies(m, sent, limits)
+
+    atom_free = []
+
+    def watching(real):
+        def holds(m, sent, limits=DEFAULT_LIMITS):
+            if not atoms_of(sent):
+                atom_free.append(sent)
+            return real(m, sent, limits)
+
+        return holds
+
+    monkeypatch.setattr(dynmknf, "satisfies", counting_satisfies)
+    monkeypatch.setattr(interp, "holds_known", watching(interp.holds_known))
+    monkeypatch.setattr(splitting, "holds_known", watching(splitting.holds_known))
+    models = dynamic_models(dkb)
+    # no cargo branch fails the check or repeats another, so the branches
+    # that reach it are exactly the models, in order
+    assert models and list(map(id, checked)) == list(map(id, models))
+    assert not atom_free
+
+
+def _cargo_with_updates(copies: int) -> list[ModelSet]:
+    return dynamic_models(
+        load_sequence(["corpus/cargo.kb"] + ["corpus/cargo_update.kb"] * copies)
+    )
+
+
+def test_repeating_the_cargo_update_changes_nothing():
+    """Idempotence: applying the same update again leaves the models as the
+    first application made them."""
+    once = _cargo_with_updates(1)
+    for copies in (2, 3):
+        again = _cargo_with_updates(copies)
+        assert len(again) == len(once)
+        assert all(model_sets_equal(a, b) for a, b in zip(once, again))
+
+
+def test_cargo_update_results_are_models_of_the_newest_theory(monkeypatch):
+    """U1: every ontology layer's update result satisfies each sentence of
+    that layer's newest theory."""
+    layers = []
+    real = dynmknf.sequence_update_model
+
+    def capture(theories, limits=DEFAULT_LIMITS):
+        result = real(theories, limits)
+        layers.append((theories[-1], result))
+        return result
+
+    monkeypatch.setattr(dynmknf, "sequence_update_model", capture)
+    dynamic_models(load_sequence(["corpus/cargo.kb", "corpus/cargo_update.kb"]))
+    assert layers and any(newest for newest, _ in layers)
+    for newest, result in layers:
+        for s in newest:
+            assert holds_known(result, s), s

@@ -39,6 +39,7 @@ from hybridmknf.interp import (
     restrict,
     satisfies,
 )
+from hybridmknf.oracle import mknf_satisfies
 
 from helpers import denot, from_models
 
@@ -535,3 +536,35 @@ def test_expansion_readers_agree_with_the_denotation(case):
     assert model_sets_equal(b, a) == (den_a == den_b)
     want = all(eval_objective(sent, i) for i in den_a)
     assert holds_known(a, sent) == want
+
+
+# objective sentences over atoms 0-4, and sentences that mix K and not over
+# them with objective parts outside any modality, under nested connectives
+_OBJECTIVE_5 = st.recursive(
+    st.integers(0, 4).map(Atom) | st.sampled_from([TRUE, FALSE]),
+    lambda sub: sub.map(Neg)
+    | st.lists(sub, max_size=3).map(lambda xs: Conj(tuple(xs)))
+    | st.lists(sub, max_size=3).map(lambda xs: Disj(tuple(xs)))
+    | st.builds(Implies, sub, sub),
+    max_leaves=4,
+)
+_MODAL_5 = st.recursive(
+    _OBJECTIVE_5 | _OBJECTIVE_5.map(Known) | _OBJECTIVE_5.map(NotKnown),
+    lambda sub: sub.map(Neg)
+    | st.lists(sub, max_size=4).map(lambda xs: Conj(tuple(xs)))
+    | st.lists(sub, max_size=4).map(lambda xs: Disj(tuple(xs)))
+    | st.builds(Implies, sub, sub),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_factored(list(range(5)), 3), _MODAL_5)
+def test_satisfies_matches_the_literal_mknf_reading(m, sent):
+    # satisfies folds modal parts to constants and stops a conjunction,
+    # disjunction or conditional once a constant decides it; the oracle
+    # evaluates every part in every interpretation of M
+    universe = list(range(5))
+    models = frozenset(denotation(m, universe))
+    want = all(mknf_satisfies(sent, i, models, models) for i in models)
+    assert satisfies(m, sent) == want
