@@ -79,12 +79,12 @@ def _model_json(m: ModelSet, sig: Signature) -> dict:
     for comp in m.components:
         names = [_atom_name(sig, a) for a in comp.atoms]
         entry: dict = {"atoms": names}
-        if len(comp.parts) <= _PART_LISTING_CAP:
+        if comp.part_count <= _PART_LISTING_CAP:
             entry["parts"] = sorted(
                 sorted(n for i, n in enumerate(names) if part >> i & 1)
                 for part in comp.parts.tolist()
             )
-        entry["part_count"] = len(comp.parts)
+        entry["part_count"] = comp.part_count
         components.append(entry)
         known_true.extend(n for i, n in enumerate(names) if comp.fixed_true >> i & 1)
     return {

@@ -3,16 +3,18 @@
 An interpretation over a finite signature is the set of ground atoms it makes
 true.  Sets of interpretations are the semantic objects everything else works
 with; they are kept in a factored form: a list of components with disjoint
-atom scopes, each holding an explicit nonempty set of parts over its scope.
-The factored set denotes every interpretation whose restriction to each
-component scope is one of that component's parts, with all atoms outside any
-scope left unconstrained.  This is exactly a set that is saturated outside its
+atom scopes, each holding a nonempty set of parts over its scope, as a union
+of products of part arrays over a split of that scope.  The factored set
+denotes every interpretation whose restriction to each component scope is
+one of that component's parts, with all atoms outside any scope left
+unconstrained.  This is exactly a set that is saturated outside its
 components, so restriction and saturation share one representation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -301,45 +303,113 @@ def sorted_unique(masks: np.ndarray) -> np.ndarray:
     return out[np.concatenate(([True], out[1:] != out[:-1]))] if out.size else out
 
 
-@dataclass(frozen=True, eq=False)
+def _check_scope(atoms: tuple[int, ...]) -> None:
+    if not atoms:
+        raise ValueError("component needs a nonempty scope")
+    if tuple(sorted(set(atoms))) != atoms:
+        raise ValueError("component atoms must be sorted and unique")
+
+
 class Component:
-    """Explicit part set over a small, sorted tuple of atom indices.
+    """A set of parts over a small, sorted tuple of atom indices, held as a
+    union of products.
 
     Parts are bitmasks relative to the atoms tuple: bit i of a part mask is
-    the truth value of atoms[i].  Given as any iterable of masks or an
-    integer array, they are kept as a sorted, unique, read-only int64 array.
+    the truth value of atoms[i].  The scope is split into factors, given as
+    disjoint bit masks that cover it.  Each term holds one array of masks
+    per factor, inside that factor's bits, and stands for every OR of one
+    mask from each array; the component is the union of its terms.  Terms
+    must be pairwise disjoint, so part_count, the size of that union, is
+    the sum of the terms' product sizes, and rows counts the masks stored.
+
+    Component(atoms, parts) is the flat case, one term over one factor:
+    given as any iterable of masks or an integer array, its parts are kept
+    as a sorted, unique, read-only int64 array.  Component.union builds the
+    general case; its flat parts array is built on first read of parts.
     """
 
-    atoms: tuple[int, ...]
-    parts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("component needs a nonempty scope")
-        if tuple(sorted(set(self.atoms))) != self.atoms:
-            raise ValueError("component atoms must be sorted and unique")
+    def __init__(self, atoms: tuple[int, ...], parts: Iterable[int] | np.ndarray) -> None:
+        _check_scope(atoms)
         out_of_range = "part mask out of range for the component scope"
-        raw = self.parts
+        raw = parts
         if not isinstance(raw, np.ndarray):
             try:
                 raw = np.array(list(raw), dtype=np.int64)
             except OverflowError:
                 raise ValueError(out_of_range) from None
-        parts = sorted_unique(raw)
-        if not parts.size:
+        flat = sorted_unique(raw)
+        if not flat.size:
             raise ValueError("component needs a nonempty part set")
-        if parts[0] < 0 or int(parts[-1]) >> len(self.atoms):
+        if flat[0] < 0 or int(flat[-1]) >> len(atoms):
             raise ValueError(out_of_range)
-        parts.flags.writeable = False
-        object.__setattr__(self, "parts", parts)
+        flat.flags.writeable = False
+        self.atoms = atoms
+        self.factors = ((1 << len(atoms)) - 1,)
+        self.terms = ((flat,),)
+        self.part_count = self.rows = flat.size
+        # the flat case holds its parts array already
+        self.parts = flat
+
+    @classmethod
+    def union(
+        cls,
+        atoms: tuple[int, ...],
+        factors: Sequence[int],
+        terms: Sequence[Sequence[np.ndarray]],
+    ) -> "Component":
+        """The union of the products of pairwise disjoint terms, each one
+        array of masks per factor mask, inside that factor's bits.  One
+        term over one factor is built as the flat case."""
+        if len(terms) == 1 and len(factors) == len(terms[0]) == 1:
+            return cls(atoms, terms[0][0])
+        _check_scope(atoms)
+        if sum(factors) != (1 << len(atoms)) - 1 or any(
+            a & b for a, b in itertools.combinations(factors, 2)
+        ):
+            raise ValueError("component factors must split the scope")
+        kept = []
+        for term in terms:
+            if len(term) != len(factors):
+                raise ValueError("a term needs one array per factor")
+            arrays = tuple(sorted_unique(a) for a in term)
+            if not all(a.size for a in arrays):
+                raise ValueError("component needs a nonempty part set")
+            if any((a & ~mask).any() for a, mask in zip(arrays, factors)):
+                raise ValueError("part mask out of range for its factor")
+            for a in arrays:
+                a.flags.writeable = False
+            kept.append(arrays)
+        if not kept:
+            raise ValueError("component needs a nonempty part set")
+        self = cls.__new__(cls)
+        self.atoms = atoms
+        self.factors = tuple(factors)
+        self.terms = tuple(kept)
+        self.part_count = sum(math.prod(a.size for a in term) for term in kept)
+        self.rows = sum(a.size for term in kept for a in term)
+        return self
+
+    def __repr__(self) -> str:
+        return f"Component({self.atoms!r}, factors={self.factors!r}, terms={self.terms!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Component):
             return NotImplemented
-        return self.atoms == other.atoms and self.parts.tobytes() == other.parts.tobytes()
+        return self is other or (
+            self.atoms == other.atoms
+            and self.part_count == other.part_count
+            and self.parts.tobytes() == other.parts.tobytes()
+        )
 
     def __hash__(self) -> int:
         return hash((self.atoms, self.parts.tobytes()))
+
+    @cached_property
+    def parts(self) -> np.ndarray:
+        """Every part as one sorted, unique, read-only int64 array."""
+        parts = np.sort(_union_of_products(self.terms))
+        parts.flags.writeable = False
+        return parts
 
     @cached_property
     def scope(self) -> frozenset[int]:
@@ -347,13 +417,32 @@ class Component:
 
     @cached_property
     def fixed_true(self) -> int:
-        """Mask of the bits set in every part."""
-        return int(np.bitwise_and.reduce(self.parts))
+        """Mask of the bits set in every part: in every term, the bits set
+        in every mask of their factor."""
+        out = (1 << len(self.atoms)) - 1
+        for term in self.terms:
+            out &= sum(int(np.bitwise_and.reduce(a)) for a in term)
+        return out
 
     @cached_property
     def fixed_false(self) -> int:
-        """Mask of the bits clear in every part."""
-        return (1 << len(self.atoms)) - 1 & ~int(np.bitwise_or.reduce(self.parts))
+        """Mask of the bits clear in every part, that is in every stored mask."""
+        seen = 0
+        for term in self.terms:
+            for a in term:
+                seen |= int(np.bitwise_or.reduce(a))
+        return (1 << len(self.atoms)) - 1 & ~seen
+
+    def reading(self, bits: int) -> tuple[int, Sequence[Sequence[np.ndarray]]]:
+        """The parts cut down to the factors that hold some of the given
+        bits, with the other factors' bits cleared: how many there are,
+        counted once per part of each term's product, and each term's
+        arrays for those factors."""
+        if len(self.factors) == 1:
+            return self.part_count, self.terms
+        touched = [f for f, mask in enumerate(self.factors) if mask & bits]
+        terms = [[term[f] for f in touched] for term in self.terms]
+        return sum(math.prod(a.size for a in term) for term in terms), terms
 
     def project(self, atoms: Iterable[int]) -> "Component | None":
         """Component over the given subset of this scope, or None if disjoint."""
@@ -440,6 +529,14 @@ def or_product(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return combined
 
 
+def _union_of_products(terms: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """Every OR of one mask from each array of some term, term by term; a
+    lone array is returned as it is."""
+    if len(terms) == 1 and len(terms[0]) == 1:
+        return terms[0][0]
+    return np.concatenate([or_product(term) for term in terms])
+
+
 def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
     """Masks over the given atom order, bit i for atoms[i], of every
     interpretation the disjoint comps allow, with the other atoms free.
@@ -448,12 +545,21 @@ def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
     come in product order; past 62 atoms they are Python ints in an object
     array.
     """
+    return _lifted_product([(c.atoms, c.parts) for c in comps], atoms)
+
+
+def _lifted_product(
+    pieces: Sequence[tuple[tuple[int, ...], np.ndarray]], atoms: Sequence[int]
+) -> np.ndarray:
+    """Every OR of one mask from each piece, moved from its own atoms to
+    the given atom order, times every value of the atoms no piece holds."""
     wide = len(atoms) > 62
     free = {a: i for i, a in enumerate(atoms)}
     arrays = []
-    for c in comps:
-        parts = c.parts.astype(object) if wide else c.parts
-        arrays.append(lift_bits(parts, [free.pop(a) for a in c.atoms]))
+    for scope, masks in pieces:
+        if wide:
+            masks = masks.astype(object)
+        arrays.append(lift_bits(masks, [free.pop(a) for a in scope]))
     if free:
         fills = np.arange(1 << len(free), dtype=object if wide else np.int64)
         arrays.append(lift_bits(fills, list(free.values())))
@@ -485,9 +591,10 @@ def holds_known(
     is read from the fixed-bit masks of the component that owns the atom,
     and a free one never holds.  A constant sentence is evaluated once.  Any
     other sentence is evaluated over the product of the components it
-    touches, which is only attempted while the candidate count stays inside
-    the configured budget; a literal counts its owner's parts, or 2 when
-    free, against the same budget.
+    touches, each read only on the factors that hold the sentence's atoms,
+    term by term.  That is only attempted while the candidate count stays
+    inside the configured budget; a literal counts the rows its owner
+    stores, or 2 when free, against the same budget.
     """
     negated = sent.__class__ is Neg
     literal = sent.sub if negated else sent
@@ -497,25 +604,35 @@ def holds_known(
             _enumeration_guard(2, 1, limits)
             return False
         comp = m.components[place[0]]
-        _enumeration_guard(len(comp.parts), 1, limits)
+        _enumeration_guard(comp.rows, 1, limits)
         fixed = comp.fixed_false if negated else comp.fixed_true
         return bool(fixed >> place[1] & 1)
 
     rel = atoms_of(sent)
     owner = m.atom_owner
-    touched = [
-        m.components[i] for i in sorted({owner[a][0] for a in rel if a in owner})
-    ]
-    free = sorted(a for a in rel if a not in owner)
+    # the bits the sentence reads in each component it touches
+    reads: dict[int, int] = {}
+    free = []
+    for a in rel:
+        place = owner.get(a)
+        if place is None:
+            free.append(a)
+        else:
+            reads[place[0]] = reads.get(place[0], 0) | 1 << place[1]
+    free.sort()
+    positions = sorted(reads)
+    touched = [m.components[i] for i in positions]
+    readings = [m.components[i].reading(reads[i]) for i in positions]
     cost = float(1 << len(free))
-    for c in touched:
-        cost *= len(c.parts)
+    for count, _ in readings:
+        cost *= count
     _enumeration_guard(cost, len(touched), limits)
     if not rel:
         return eval_objective(sent, frozenset())
     atoms = [a for c in touched for a in c.atoms] + free
     bit = {a: i for i, a in enumerate(atoms)}
-    return bool(eval_objective_masks(sent, bit, expand(touched, atoms)).all())
+    pieces = [(c.atoms, _union_of_products(t)) for c, (_, t) in zip(touched, readings)]
+    return bool(eval_objective_masks(sent, bit, _lifted_product(pieces, atoms)).all())
 
 
 def holds_not(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
@@ -602,7 +719,7 @@ def interpretation_count(comps: Sequence[Component], n_atoms: int) -> int:
     comps are disjoint and lie among those atoms."""
     total = 1 << (n_atoms - sum(len(c.atoms) for c in comps))
     for c in comps:
-        total *= len(c.parts)
+        total *= c.part_count
     return total
 
 

@@ -17,16 +17,17 @@ block.  updated_components(comps) answers a given start set.  It does not
 walk the start points one by one: the start components split the group
 into factors, each factor is minimised once per live separator value,
 and the results are products of per-factor part classes.  Several terms,
-and every update, come back as one flat component holding a union of
-products, counted against the parts budget before any is built.  Only
-that flat output needs the whole group in one int64 mask, so only it
-refuses a group wider than _LONG_BITS.  No model remaining comes back as
-no component, which update_with_theory reports as EmptyUpdate.
+and every update, come back as one component that keeps that union of
+products as it is, one part array per factor in each term, never
+multiplied out; the rows it stores are counted against the parts budget
+before it is built.  Only that union output needs the whole group in one
+int64 mask, so only it refuses a group wider than _LONG_BITS.  No model
+remaining comes back as no component, which update_with_theory reports
+as EmptyUpdate.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from .interp import (
     expand,
     interpretation_count,
     lift_bits,
-    or_product,
     sorted_unique,
 )
 
@@ -286,7 +286,8 @@ class _GroupSolver:
         """All models of the theory over the group, or no component when it
         has none.  Its terms are the live values under which every block has
         a model.  One term gives the separator fixed to it times each block's
-        models, one component each; several give one flat component."""
+        models, one component each; several give one component holding the
+        union of those products, factored by the separator and the blocks."""
         terms = {}
         for li, e in enumerate(self.live):
             tables = [self.block_models(j, e) for j in range(len(self.blocks))]
@@ -295,12 +296,13 @@ class _GroupSolver:
         if len(terms) > 1:
             self._group_bits()
             return self._union_component(
+                [self.sep_mask] + self.block_masks,
                 [
                     [self.live_masks[li:li + 1]]
                     + [lift_bits(t, bits) for t, bits in zip(tables, self.block_bits)]
                     for li, tables in terms.items()
                 ],
-                "theory has too many models to enumerate",
+                "theory models",
             )
         if not terms:
             return []
@@ -316,7 +318,7 @@ class _GroupSolver:
         return out
 
     def _group_bits(self) -> None:
-        """Masks over the whole group, bit i for atoms[i], for the flat output."""
+        """Masks over the whole group, bit i for atoms[i], for the union output."""
         if len(self.atoms) > _LONG_BITS:
             raise ResourceLimit(
                 f"group of {len(self.atoms)} atoms exceeds the mask width "
@@ -335,7 +337,8 @@ class _GroupSolver:
 
     def updated_components(self, comps: Sequence[Component]) -> list[Component]:
         """Models of the theory at minimal change from each start point, as
-        one flat component, or no component when there are none.
+        one component holding a union of products over the start factors,
+        or no component when there are none.
 
         The start points are the group interpretations that the disjoint comps
         allow, with the group's other atoms free.  They form a product of
@@ -354,7 +357,7 @@ class _GroupSolver:
                 [self._group_models(j, e) for e in self.live],
                 sorted_unique(starts & self.block_masks[j]),
             )
-            for starts, blocks, _ in factors
+            for starts, blocks, _, _ in factors
             for j in blocks
         }
         live_masks = self.live_masks.tolist()
@@ -362,13 +365,13 @@ class _GroupSolver:
         columns: list[np.ndarray | None] = [None] * len(live_masks)
         if len(live_masks) > 1:
             sep_values = sorted_unique(
-                next(starts for starts, _, has_sep in factors if has_sep) & self.sep_mask
+                next(starts for starts, _, has_sep, _ in factors if has_sep) & self.sep_mask
             )
             for li, e_mask in enumerate(live_masks):
                 held = np.flatnonzero(self._dominators(sep_values, e_mask, li).any(axis=0))
                 columns[li] = held if held.size else None
         pieces = [[[] for _ in factors] for _ in live_masks]
-        for fi, (starts, blocks, has_sep) in enumerate(factors):
+        for fi, (starts, blocks, has_sep, _) in enumerate(factors):
             for lo in range(0, len(starts), _CHUNK_STARTS):
                 chunk = starts[lo:lo + _CHUNK_STARTS]
                 at = [
@@ -388,29 +391,33 @@ class _GroupSolver:
             width = 0 if columns[li] is None else columns[li].size
             for combo in _surviving_combos([vectors for _, vectors in split], width):
                 products.append([parts[c] for (parts, _), c in zip(split, combo)])
-        return self._union_component(products, "update produced too many distinct results")
+        return self._union_component(
+            [mask for _, _, _, mask in factors], products, "update results"
+        )
 
     def _union_component(
-        self, products: list[list[np.ndarray]], what: str
+        self, factors: list[int], products: list[list[np.ndarray]], what: str
     ) -> list[Component]:
-        """One component over the group holding every OR of one mask from
-        each array of some product, or none without products.  The sizes
-        of the products are summed against max_parts before any is built."""
-        total = sum(math.prod(a.size for a in arrays) for arrays in products)
-        if total > self.limits.max_parts:
+        """One component over the group holding the union of the products,
+        each one array of masks per factor mask, or none without products.
+        The rows it would store, summed over every array of every product,
+        are counted against max_parts before it is built."""
+        rows = sum(a.size for arrays in products for a in arrays)
+        if rows > self.limits.max_parts:
             raise ResourceLimit(
-                f"{what}: at least {total}, more than EngineLimits.max_parts = "
-                f"{self.limits.max_parts}"
+                f"{what} need too many stored rows: {rows}, more than "
+                f"EngineLimits.max_parts = {self.limits.max_parts}"
             )
         if not products:
             return []
-        return [Component(self.atoms, np.concatenate([or_product(p) for p in products]))]
+        return [Component.union(self.atoms, factors, products)]
 
     def _start_factors(
         self, comps: Sequence[Component]
-    ) -> list[tuple[np.ndarray, list[int], bool]]:
+    ) -> list[tuple[np.ndarray, list[int], bool, int]]:
         """The start set as a product of factors, each given by its start
-        points in group bits, its blocks, and whether it holds the separator.
+        points in group bits, its blocks, whether it holds the separator, and
+        its mask of group bits.
 
         Blocks and the separator that one start component touches together
         fall into one factor; atoms only the start set mentions stay in their
@@ -423,13 +430,13 @@ class _GroupSolver:
         factors = []
         for group in sorted(union_find_groups(units + [c.scope for c in comps]), key=min):
             atoms = sorted(group)
+            bits = [pos[a] for a in atoms]
             starts = lift_bits(
-                expand([c for c in comps if c.atoms[0] in group], atoms),
-                [pos[a] for a in atoms],
+                expand([c for c in comps if c.atoms[0] in group], atoms), bits
             )
             blocks = [j for j, b in enumerate(self.blocks) if b[0] in group]
             has_sep = bool(self.separator) and self.separator[0] in group
-            factors.append((starts, blocks, has_sep))
+            factors.append((starts, blocks, has_sep, sum(1 << b for b in bits)))
         return factors
 
     def _dominators(self, s_sep: np.ndarray, e_mask: int, li: int) -> np.ndarray:

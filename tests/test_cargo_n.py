@@ -1,8 +1,7 @@
 """Cargo-N, the cargo corpus with its block patterns cloned N times, around
 the walls the benchmark ladder measures: `models` answers up to the top rung
-with every cloned acceptance verdict, and N = 4 `update` stops on its parts
-budget, counting its 4,456,448 distinct results exactly, without a partial
-answer."""
+with every cloned acceptance verdict, and N = 4 `update` answers with its
+4,456,448 distinct results held as a union of factored products."""
 
 from __future__ import annotations
 
@@ -12,14 +11,17 @@ import json
 
 import pytest
 
-from hybridmknf import dynamic_models, entails, load_sequence, parse_query
+from hybridmknf import dynamic_models, dynmknf, entails, load_sequence, parse_query
 from hybridmknf.cli import main
+from hybridmknf.interp import DEFAULT_LIMITS, holds_known
 
 from helpers import perfbench_module
 
 cargo_n = perfbench_module("cargo_n")
 perfbench_module("kbgen")
-CRITERION_1 = perfbench_module("workloads").CRITERION_1
+workloads = perfbench_module("workloads")
+CRITERION_1, CRITERION_2 = workloads.CRITERION_1, workloads.CRITERION_2
+KNOWN_WRONG = workloads.KNOWN_WRONG
 
 
 def _cli(argv: list[str]) -> tuple[int, dict]:
@@ -48,13 +50,33 @@ def test_cargo_8_models_cli_exits_0(tmp_path):
     assert payload["count"] == 1
 
 
-def test_cargo_4_update_stops_on_the_parts_budget(tmp_path):
+def test_cargo_4_update_answers(tmp_path, monkeypatch):
     base, update = cargo_n.write_cargo(4, str(tmp_path))
     rc, payload = _cli(["update", base, update])
-    assert rc == 2
-    assert payload == {"error": payload["error"]}
-    assert payload["error"]["type"] == "ResourceLimit"
-    assert payload["error"]["message"] == (
-        "update produced too many distinct results: at least 4456448, "
-        "more than EngineLimits.max_parts = 2097152"
-    )
+    assert rc == 0 and payload["count"] == 1
+    (model,) = payload["models"]
+    widest = max(model["components"], key=lambda c: c["part_count"])
+    assert len(widest["atoms"]) == 36
+    assert widest["part_count"] == 4_456_448 and "parts" not in widest
+
+    layers = []
+    real = dynmknf.sequence_update_model
+
+    def capture(theories, limits=DEFAULT_LIMITS):
+        result = real(theories, limits)
+        layers.append((theories[-1], result))
+        return result
+
+    monkeypatch.setattr(dynmknf, "sequence_update_model", capture)
+    dkb = load_sequence([base, update])
+    models = dynamic_models(dkb)
+    known_wrong = set(cargo_n.clone_queries(KNOWN_WRONG["cargo"], 4))
+    queries = cargo_n.clone_queries(CRITERION_2, 4)
+    assert known_wrong < set(queries)
+    wrong = {q for q in queries if not entails(models, parse_query(q, dkb.sig))}
+    assert wrong == known_wrong
+    # U1: each ontology layer's result is a model of its newest theory
+    assert layers and any(newest for newest, _ in layers)
+    for newest, result in layers:
+        for s in newest:
+            assert holds_known(result, s), s

@@ -14,6 +14,9 @@ import pytest
 
 from hybridmknf import cli
 from hybridmknf.cli import main
+from hybridmknf.interp import DEFAULT_LIMITS
+
+from helpers import perfbench_module
 
 CARGO = "corpus/cargo.kb"
 CARGO_UPDATE = "corpus/cargo_update.kb"
@@ -336,14 +339,16 @@ def test_budget_flags_below_one_are_usage_errors(command, flag, value):
     assert "Traceback" not in err.getvalue() and not out.getvalue()
 
 
-def _assert_budget_refusal(argv, field):
-    """Exit 2 with a ResourceLimit that names its EngineLimits field, and no
-    partial answer."""
+def _assert_budget_refusal(argv, field, limit=1):
+    """Exit 2 with a ResourceLimit that names its EngineLimits field and
+    value, and no partial answer: the payload holds only the error, whose
+    message is returned."""
     rc, payload = run_json(argv)
     assert rc == 2
+    assert set(payload) == {"error"}
     assert payload["error"]["type"] == "ResourceLimit"
-    assert f"EngineLimits.{field} = 1" in payload["error"]["message"]
-    assert "models" not in payload and "count" not in payload
+    assert f"EngineLimits.{field} = {limit}" in payload["error"]["message"]
+    return payload["error"]["message"]
 
 
 def test_resource_limit_exits_2():
@@ -357,6 +362,31 @@ def test_branch_budget_exits_2(kbdir):
     rc, payload = run_json(["models", even])
     assert rc == 0 and payload["count"] == 2
     _assert_budget_refusal(["models", even, "--max-branches", "1"], "max_branches")
+
+
+def test_separator_budget_exits_2(tmp_path):
+    # cargo-20 `models` needs a wider separator than the budget, which has
+    # no flag
+    perfbench_module("kbgen")
+    base, _ = perfbench_module("cargo_n").write_cargo(20, str(tmp_path))
+    _assert_budget_refusal(
+        ["models", base], "max_separator_atoms", DEFAULT_LIMITS.max_separator_atoms
+    )
+
+
+def test_stored_row_budget_exits_2(tmp_path):
+    # The update adds A(x) -> S(x, y1) | ... | S(x, y20).  Split on A(x),
+    # both values are live and keep the 20 S atoms as one block: 2^20 and
+    # 2^20 - 1 models plus one separator row each, one row more than
+    # EngineLimits.max_parts, which has no flag.
+    items = ", ".join(f"y{i}" for i in range(1, 21))
+    decl = f"sort obj: x\nsort item: {items}\npred A(obj)\npred S(obj, item)\n"
+    base, update = tmp_path / "base.kb", tmp_path / "update.kb"
+    base.write_text(decl)
+    update.write_text(decl + "*** O ***\nA [= exists S.top .\n")
+    argv = ["update", str(base), str(update), "--max-component-atoms", "20"]
+    message = _assert_budget_refusal(argv, "max_parts", DEFAULT_LIMITS.max_parts)
+    assert "need too many stored rows: 2097153," in message
 
 
 def test_explicit_plan_gives_same_answer():

@@ -59,7 +59,14 @@ from hybridmknf.rules import dynamic_stable_models
 from hybridmknf.splitting import LayerPlan, layer_kind, suggest_plan
 from hybridmknf.winslett import sequence_update_model
 
-from helpers import denot, denot_family, rnd_hybrid_kb, unary_sig, upset
+from helpers import (
+    denot,
+    denot_family,
+    perfbench_module,
+    rnd_hybrid_kb,
+    unary_sig,
+    upset,
+)
 
 
 def lit(pred: str, positive: bool = True) -> SchemaLiteral:
@@ -428,6 +435,22 @@ def test_cargo_final_check_is_one_query_per_branch(monkeypatch, files):
     # that reach it are exactly the models, in order
     assert models and list(map(id, checked)) == list(map(id, models))
     assert not atom_free
+
+
+def test_cargo_update_answers_without_flattening_its_union():
+    """The cargo update's 26-atom group comes back as a union of factored
+    products; the final check and the criterion-2 queries read its factors
+    and never build its 18,432 flat parts."""
+    dkb = load_sequence(["corpus/cargo.kb", "corpus/cargo_update.kb"])
+    (m,) = dynamic_models(dkb)
+    # workloads imports these two by name
+    perfbench_module("cargo_n")
+    perfbench_module("kbgen")
+    for query in perfbench_module("workloads").CRITERION_2:
+        entails([m], parse_query(query, dkb.sig))
+    (widest,) = [c for c in m.components if len(c.atoms) == 26]
+    assert widest.part_count == 18432 and widest.rows == 166
+    assert "parts" not in vars(widest)
 
 
 def _cargo_with_updates(copies: int) -> list[ModelSet]:

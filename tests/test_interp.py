@@ -34,6 +34,7 @@ from hybridmknf.interp import (
     expand,
     holds_known,
     holds_not,
+    interpretation_count,
     is_objective,
     model_sets_equal,
     restrict,
@@ -568,3 +569,77 @@ def test_satisfies_matches_the_literal_mknf_reading(m, sent):
     models = frozenset(denotation(m, universe))
     want = all(mknf_satisfies(sent, i, models, models) for i in models)
     assert satisfies(m, sent) == want
+
+
+@st.composite
+def _union_case(draw):
+    """A union component over 2-8 of the atoms 0-7, split into 2-3 factors,
+    with 1-4 pairwise disjoint terms; the flat component of the same parts;
+    and the atoms outside its scope, some under one flat component."""
+    scope = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=2))))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    n_factors = rng.randint(2, min(3, len(scope)))
+    owner = list(range(n_factors))
+    owner += [rng.randrange(n_factors) for _ in range(len(scope) - n_factors)]
+    rng.shuffle(owner)
+    factors = [sum(1 << i for i, f in enumerate(owner) if f == k) for k in range(n_factors)]
+    values = [[x for x in range(f + 1) if x & ~f == 0] for f in factors]
+    terms: list[list[list[int]]] = []
+    seen: set[int] = set()
+    wanted = rng.randint(1, 4)
+    # draw terms until enough are disjoint from those kept
+    for _ in range(8 * wanted):
+        term = [rng.sample(v, rng.randint(1, min(3, len(v)))) for v in values]
+        parts = {sum(combo) for combo in itertools.product(*term)}
+        if not parts & seen:
+            terms.append(term)
+            seen |= parts
+        if len(terms) == wanted:
+            break
+    union = Component.union(scope, factors, [[np.array(a) for a in t] for t in terms])
+    others = [a for a in range(8) if a not in scope and rng.random() < 0.5]
+    around = []
+    if others:
+        parts = rng.sample(range(1 << len(others)), rng.randint(1, 1 << len(others)))
+        around = [Component(tuple(others), parts)]
+    return union, Component(scope, sorted(seen)), around
+
+
+_MODAL_8 = st.recursive(
+    _SENTENCES | _SENTENCES.map(Known) | _SENTENCES.map(NotKnown),
+    lambda sub: sub.map(Neg)
+    | st.lists(sub, max_size=3).map(lambda xs: Conj(tuple(xs)))
+    | st.lists(sub, max_size=3).map(lambda xs: Disj(tuple(xs)))
+    | st.builds(Implies, sub, sub),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    _union_case(),
+    st.lists(_SENTENCES, min_size=1, max_size=3),
+    _MODAL_8,
+    st.sets(st.integers(0, 7)),
+    st.integers(0, 99),
+)
+def test_union_component_reads_as_its_flat_parts(case, sents, modal, keep, seed):
+    union, flat, around = case
+    assert union.part_count == flat.part_count == len(flat.parts)
+    assert union.rows == sum(a.size for t in union.terms for a in t)
+    assert union.parts.tolist() == flat.parts.tolist()
+    assert not union.parts.flags.writeable and union == flat
+    assert (union.fixed_true, union.fixed_false) == (flat.fixed_true, flat.fixed_false)
+    assert union.project(keep) == flat.project(keep)
+    assert interpretation_count([union] + around, 8) == interpretation_count(
+        [flat] + around, 8
+    )
+    m_union, m_flat = ModelSet(tuple([union] + around)), ModelSet(tuple([flat] + around))
+    literals = [s for a in union.atoms for s in (Atom(a), Neg(Atom(a)))]
+    for sent in sents + literals:
+        assert holds_known(m_union, sent) == holds_known(m_flat, sent), sent
+    assert satisfies(m_union, modal) == satisfies(m_flat, modal)
+    assert model_sets_equal(m_union, m_flat) and model_sets_equal(m_flat, m_union)
+    other = mutate_one_part(random.Random(seed), m_flat)
+    assert model_sets_equal(m_union, other) == model_sets_equal(m_flat, other)
+    assert model_sets_equal(other, m_union) == model_sets_equal(other, m_flat)

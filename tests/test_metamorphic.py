@@ -136,7 +136,7 @@ def test_renaming_and_order_change_no_answer(name):
     got = [_mapped_back(m, renamed.sig, dkb.sig, back) for m in dynamic_models(renamed)]
     assert want and len(got) == len(want)
     if name == "free hub chains":
-        # one flat component per constant holds the hub and its chains
+        # one union component per constant holds the hub and its chains
         for m in want + got:
             assert [len(c.atoms) for c in m.components] == [25, 25]
     unmatched = list(got)

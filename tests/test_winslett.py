@@ -184,7 +184,7 @@ def _hub_chains(k: int, length: int) -> list:
 
 def test_cap_errors_name_the_cap():
     # both values of the hub atom 0 are live, so its 65-atom group takes
-    # the flat path
+    # the union path
     with pytest.raises(
         ResourceLimit,
         match=r"group of 65 atoms exceeds the mask width winslett\._LONG_BITS = 62",
@@ -205,13 +205,13 @@ def test_cap_errors_name_the_cap():
         r"more than EngineLimits\.max_parts = 2",
     ):
         update_with_theory(halves, [Disj((P, Q))], two)
-    # the empty start alone has three minimal results; checked with one
-    # start point and with two
+    # the empty start alone has three minimal results, stored as three rows
+    # of one factor; checked with one start point and with two
     some = Disj((P, Q, Atom(2)))
     for models in ([frozenset()], [frozenset(), frozenset({0})]):
         with pytest.raises(
             ResourceLimit,
-            match=r"update produced too many distinct results: at least 3, "
+            match=r"update results need too many stored rows: 3, "
             r"more than EngineLimits\.max_parts = 2",
         ):
             update_with_theory(from_models([0, 1, 2], models), [some], two)
@@ -372,11 +372,11 @@ def test_update_budget_counts_results_repeated_across_chunks(monkeypatch):
     m = from_models([0, 1, 2, 3], starts)
     six = dataclasses.replace(DEFAULT_LIMITS, max_parts=6)
     (c,) = update_with_theory(m, one_of, six).components
-    assert c.parts.tolist() == [1, 2, 4, 9, 10, 12]
+    assert c.parts.tolist() == [1, 2, 4, 9, 10, 12] and c.rows == 6
     five = dataclasses.replace(DEFAULT_LIMITS, max_parts=5)
     with pytest.raises(
         ResourceLimit,
-        match=r"update produced too many distinct results: at least 6, "
+        match=r"update results need too many stored rows: 6, "
         r"more than EngineLimits\.max_parts = 5",
     ):
         update_with_theory(m, one_of, five)
@@ -452,22 +452,33 @@ def test_one_surviving_live_value_gives_one_component_per_block():
     assert denot(got, [0, 1, 2]) == frozenset(brute_fo_models(sentences, [0, 1, 2]))
 
 
-def test_several_surviving_live_values_give_one_flat_component():
+def test_several_surviving_live_values_give_one_union_component(monkeypatch):
     # with s false, a and b are free (4 models); with s true, both hold
-    # (1 model): one component over the group holds all 5
+    # (1 model): one component over the group holds both products, each
+    # factored by the separator and the two blocks
     sentences = [Disj((A, Neg(S))), Disj((B, Neg(S)))]
     got = update_with_theory(FULL_SET, sentences, ONE_ATOM_BLOCKS)
-    (flat,) = got.components
-    assert flat.atoms == (0, 1, 2) and len(flat.parts) == 5
+    (union,) = got.components
+    assert union.atoms == (0, 1, 2) and union.factors == (0b001, 0b010, 0b100)
+    assert [[a.tolist() for a in term] for term in union.terms] == [
+        [[0], [0, 2], [0, 4]], [[1], [2], [4]],
+    ]
+    assert (union.part_count, union.rows) == (5, 8)
+    assert "parts" not in vars(union)
     assert denot(got, [0, 1, 2]) == frozenset(brute_fo_models(sentences, [0, 1, 2]))
-    # the budget error counts every term, not only those before the cap
+    assert len(union.parts) == 5
+    # the budget counts the rows of every term, not only those before the
+    # cap, and refuses before the component is built
     three = dataclasses.replace(ONE_ATOM_BLOCKS, max_parts=3)
+    built = []
+    monkeypatch.setattr(winslett.Component, "union", lambda *a: built.append(a))
     with pytest.raises(
         ResourceLimit,
-        match=r"^theory has too many models to enumerate: at least 5, "
+        match=r"^theory models need too many stored rows: 8, "
         r"more than EngineLimits\.max_parts = 3$",
     ):
         update_with_theory(FULL_SET, sentences, three)
+    assert not built
 
 
 def test_wide_group_with_one_live_separator_value_solves():
