@@ -4,9 +4,12 @@ Rules are ground, with default negation allowed in bodies and heads.  Truth
 of a default literal is handled by the usual two-sorted reading: "not p"
 becomes an atom of its own, paired with p, and candidate interpretations are
 checked against the least model of the resulting definite program.  Each
-search compiles its rules into integer masks once: a rule becomes its stage,
-its head literal, and a positive and a negative body mask.  Every candidate
-is then checked with integer operations alone.
+search compiles its rules into integer masks: a rule becomes its stage, its
+head literal, and a positive and a negative body mask.  Every candidate is
+then checked with integer operations alone.  A program sequence is first
+bounded by the well-founded alternating fixpoint, which respects causal
+rejection; only the candidate atoms it leaves undecided are guessed, so a
+stratified program without default-negated heads is one candidate.
 """
 
 from __future__ import annotations
@@ -45,28 +48,25 @@ _MaskRule = tuple[int, bool, int, int, int]
 
 
 def _compile(
-    programs: Sequence[Sequence[Rule]], scope: frozenset[int] | None
+    programs: Sequence[Sequence[Rule]],
+    scope: frozenset[int] | None,
+    heads: list[int] | None = None,
 ) -> tuple[list[int], int, list[_MaskRule]]:
     """One search's programs as integer masks over the atoms.
 
-    The candidate atoms, the positive heads inside the scope, take the
-    lowest bits, so candidate number m is its own mask of true atoms.
-    Returns the candidate atoms, the scope mask and the rules in stage
-    order.
+    The candidate atoms, by default the positive heads inside the scope,
+    take the lowest bits in the given order, so candidate number m is its
+    own mask of true atoms.  Returns the candidate atoms, the scope mask
+    and the rules in stage order.
     """
     all_rules = [r for prog in programs for r in prog]
     mentioned = scope_of(all_rules)
     if scope is None:
         scope = mentioned
-    # only atoms some positive-head rule can derive may be true in a
-    # stable model; everything else in the scope is forced false
-    heads = sorted({r.head[1] for r in all_rules if r.head[0]} & scope)
-    if 1 << len(heads) > _CANDIDATE_CAP:
-        raise ResourceLimit(
-            f"stable-model search over {len(heads)} candidate atoms "
-            f"(2^{len(heads)} = {1 << len(heads)} candidates) exceeds "
-            f"rules._CANDIDATE_CAP = {_CANDIDATE_CAP}"
-        )
+    if heads is None:
+        # only atoms some positive-head rule can derive may be true in a
+        # stable model; everything else in the scope is forced false
+        heads = sorted({r.head[1] for r in all_rules if r.head[0]} & scope)
     order = heads + sorted((scope | mentioned) - set(heads))
     mask = {a: 1 << j for j, a in enumerate(order)}
     compiled = []
@@ -102,6 +102,43 @@ def _least_model(
             return true, false
 
 
+def _bounds(compiled: Sequence[_MaskRule], scope_mask: int) -> tuple[int, int]:
+    """Masks of the atoms true in every stable model (sure) and of those
+    true in some (maybe), by the alternating fixpoint of the well-founded
+    semantics over the positive-head rules.
+
+    maybe is their least model when "not a" holds for every scope atom a
+    outside sure.  sure is the least model of those that no opposite head at
+    their stage or a later one can reject, when "not a" holds only for the
+    scope atoms outside maybe.  A stable model derives its atoms from rules
+    whose negated atoms are false scope atoms, so it holds sure and lies
+    inside maybe.
+    """
+    latest_not = {atom: stage for stage, pos_head, atom, _, _ in compiled if not pos_head}
+    derive = [(True, a, pos, neg) for _, pos_head, a, pos, neg in compiled if pos_head]
+    unrejectable = [
+        (True, atom, pos, neg)
+        for stage, pos_head, atom, pos, neg in compiled
+        if pos_head and latest_not.get(atom, -1) < stage
+    ]
+    sure = 0
+    while True:
+        maybe = _least_model(derive, 0, scope_mask & ~sure)[0]
+        wider = _least_model(unrejectable, 0, scope_mask & ~maybe)[0]
+        if wider == sure:
+            return sure, maybe
+        sure = wider
+
+
+def _check_candidates(guessed: int, atoms: str) -> None:
+    """Refuse a sweep over 2^guessed candidates past _CANDIDATE_CAP."""
+    if 1 << guessed > _CANDIDATE_CAP:
+        raise ResourceLimit(
+            f"stable-model search over {atoms} (2^{guessed} = {1 << guessed} "
+            f"candidates) exceeds rules._CANDIDATE_CAP = {_CANDIDATE_CAP}"
+        )
+
+
 def _as_models(heads: Sequence[int], found: Iterable[int]) -> list[frozenset[int]]:
     models = [frozenset(a for j, a in enumerate(heads) if m >> j & 1) for m in found]
     return sorted(models, key=sorted)
@@ -120,6 +157,7 @@ def stable_models(
     """
     del limits
     heads, scope_mask, compiled = _compile([rules], scope)
+    _check_candidates(len(heads), f"{len(heads)} candidate atoms")
     program = [(positive, atom, pos, neg) for _, positive, atom, pos, neg in compiled]
     found = []
     for i in range(1 << len(heads)):
@@ -143,11 +181,28 @@ def dynamic_stable_models(
     candidate is stable when the least model of the rules not rejected,
     plus those assumptions, makes exactly the candidate's atoms true and
     every other scope atom false.
+
+    Only the candidate atoms the well-founded bounds leave undecided are
+    guessed: they are recompiled onto the lowest bits with the sure atoms
+    above them, so the candidates are one range of masks.
     """
     del limits
     heads, scope_mask, compiled = _compile(programs, scope)
+    sure, maybe = _bounds(compiled, scope_mask)
+
+    def among_heads(m: int) -> list[int]:
+        return [a for j, a in enumerate(heads) if m >> j & 1]
+
+    guessed, fixed = among_heads(maybe & ~sure), among_heads(sure)
+    _check_candidates(
+        len(guessed), f"{len(guessed)} undecided of {len(heads)} candidate atoms"
+    )
+    order = guessed + fixed + among_heads(~maybe)
+    if order != heads:
+        heads, scope_mask, compiled = _compile(programs, scope, order)
+    first = ((1 << len(fixed)) - 1) << len(guessed)
     found = []
-    for i in range(1 << len(heads)):
+    for i in range(first, first + (1 << len(guessed))):
         latest: dict[tuple[bool, int], int] = {}  # head -> latest firing stage
         for stage, positive, atom, pos, neg in compiled:
             if pos & i == pos and not neg & i:

@@ -16,7 +16,9 @@ term comes back as the separator fixed to it plus one component per
 block.  updated_components(comps) answers a given start set.  It does not
 walk the start points one by one: the start components split the group
 into factors, each factor is minimised once per live separator value,
-and the results are products of per-factor part classes.  Several terms,
+and the results are products of per-factor part classes.  Each factor's
+start points, and each block's start values times its models, are
+counted against the parts budget before they are enumerated.  Several terms,
 and every update, come back as one component that keeps that union of
 products as it is, one part array per factor in each term, never
 multiplied out; the rows it stores are counted against the parts budget
@@ -352,14 +354,19 @@ class _GroupSolver:
         """
         self._group_bits()
         factors = self._start_factors(comps)
-        tables = {
-            j: _BlockTable(
-                [self._group_models(j, e) for e in self.live],
-                sorted_unique(starts & self.block_masks[j]),
-            )
-            for starts, blocks, _, _ in factors
-            for j in blocks
-        }
+        tables = {}
+        for starts, blocks, _, _ in factors:
+            for j in blocks:
+                models = [self._group_models(j, e) for e in self.live]
+                values = sorted_unique(starts & self.block_masks[j])
+                n_models = sum(m.size for m in models)
+                if values.size * n_models > self.limits.max_parts:
+                    raise ResourceLimit(
+                        f"update block table is too large to build: {values.size} "
+                        f"start values x {n_models} block models, more than "
+                        f"EngineLimits.max_parts = {self.limits.max_parts}"
+                    )
+                tables[j] = _BlockTable(models, values)
         live_masks = self.live_masks.tolist()
         # the dominator columns under each live value, None when there are none
         columns: list[np.ndarray | None] = [None] * len(live_masks)
@@ -421,19 +428,27 @@ class _GroupSolver:
 
         Blocks and the separator that one start component touches together
         fall into one factor; atoms only the start set mentions stay in their
-        component's factor, where no block changes them.
+        component's factor, where no block changes them.  Every factor's start
+        points are counted against max_parts before any is enumerated.
         """
         pos = {a: i for i, a in enumerate(self.atoms)}
         units = [set(b) for b in self.blocks]
         if self.separator:
             units.append(set(self.separator))
+        groups = sorted(union_find_groups(units + [c.scope for c in comps]), key=min)
+        in_factor = [[c for c in comps if c.atoms[0] in group] for group in groups]
+        for group, factor_comps in zip(groups, in_factor):
+            count = interpretation_count(factor_comps, len(group))
+            if count > self.limits.max_parts:
+                raise ResourceLimit(
+                    f"update start set is too large to enumerate: {count} starts, "
+                    f"more than EngineLimits.max_parts = {self.limits.max_parts}"
+                )
         factors = []
-        for group in sorted(union_find_groups(units + [c.scope for c in comps]), key=min):
+        for group, factor_comps in zip(groups, in_factor):
             atoms = sorted(group)
             bits = [pos[a] for a in atoms]
-            starts = lift_bits(
-                expand([c for c in comps if c.atoms[0] in group], atoms), bits
-            )
+            starts = lift_bits(expand(factor_comps, atoms), bits)
             blocks = [j for j, b in enumerate(self.blocks) if b[0] in group]
             has_sep = bool(self.separator) and self.separator[0] in group
             factors.append((starts, blocks, has_sep, sum(1 << b for b in bits)))
@@ -534,12 +549,6 @@ def update_with_theory(
             # reachable without change outside the group
             comps = solver.model_components()
         else:
-            count = interpretation_count(m_comps, len(atoms))
-            if count > limits.max_parts:
-                raise ResourceLimit(
-                    f"update start set is too large to enumerate: {count} starts, "
-                    f"more than EngineLimits.max_parts = {limits.max_parts}"
-                )
             comps = solver.updated_components(m_comps)
         if not comps:
             raise EmptyUpdate("updating theory has no classical models")

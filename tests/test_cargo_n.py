@@ -1,7 +1,8 @@
 """Cargo-N, the cargo corpus with its block patterns cloned N times, around
 the walls the benchmark ladder measures: `models` answers up to the top rung
-with every cloned acceptance verdict, and N = 4 `update` answers with its
-4,456,448 distinct results held as a union of factored products."""
+with every cloned acceptance verdict, and `update` answers for N = 4, 5 and
+6 with up to 593,779,228,672 distinct results held as a union of factored
+products; at N = 6 the widest group fills the 62-bit mask."""
 
 from __future__ import annotations
 
@@ -50,14 +51,19 @@ def test_cargo_8_models_cli_exits_0(tmp_path):
     assert payload["count"] == 1
 
 
-def test_cargo_4_update_answers(tmp_path, monkeypatch):
-    base, update = cargo_n.write_cargo(4, str(tmp_path))
+# atoms and distinct results of the widest cargo-N update group
+_WIDEST_UPDATE = {4: (36, 4_456_448), 5: (48, 4_429_185_024), 6: (62, 593_779_228_672)}
+
+
+@pytest.mark.parametrize("n", sorted(_WIDEST_UPDATE))
+def test_cargo_n_update_answers(n, tmp_path, monkeypatch):
+    base, update = cargo_n.write_cargo(n, str(tmp_path))
     rc, payload = _cli(["update", base, update])
     assert rc == 0 and payload["count"] == 1
     (model,) = payload["models"]
     widest = max(model["components"], key=lambda c: c["part_count"])
-    assert len(widest["atoms"]) == 36
-    assert widest["part_count"] == 4_456_448 and "parts" not in widest
+    assert (len(widest["atoms"]), widest["part_count"]) == _WIDEST_UPDATE[n]
+    assert "parts" not in widest
 
     layers = []
     real = dynmknf.sequence_update_model
@@ -70,9 +76,11 @@ def test_cargo_4_update_answers(tmp_path, monkeypatch):
     monkeypatch.setattr(dynmknf, "sequence_update_model", capture)
     dkb = load_sequence([base, update])
     models = dynamic_models(dkb)
-    known_wrong = set(cargo_n.clone_queries(KNOWN_WRONG["cargo"], 4))
-    queries = cargo_n.clone_queries(CRITERION_2, 4)
+    known_wrong = set(cargo_n.clone_queries(KNOWN_WRONG["cargo"], n))
+    queries = cargo_n.clone_queries(CRITERION_2, n)
     assert known_wrong < set(queries)
+    if n == 6:
+        assert known_wrong == {"not PartialInspection(s3)", "not PartialInspection(s6)"}
     wrong = {q for q in queries if not entails(models, parse_query(q, dkb.sig))}
     assert wrong == known_wrong
     # U1: each ontology layer's result is a model of its newest theory
@@ -80,3 +88,4 @@ def test_cargo_4_update_answers(tmp_path, monkeypatch):
     for newest, result in layers:
         for s in newest:
             assert holds_known(result, s), s
+

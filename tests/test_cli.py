@@ -9,10 +9,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hybridmknf import cli
+from hybridmknf import cli, rules
 from hybridmknf.cli import main
 from hybridmknf.interp import DEFAULT_LIMITS
 
@@ -374,19 +375,58 @@ def test_separator_budget_exits_2(tmp_path):
     )
 
 
-def test_stored_row_budget_exits_2(tmp_path):
-    # The update adds A(x) -> S(x, y1) | ... | S(x, y20).  Split on A(x),
-    # both values are live and keep the 20 S atoms as one block: 2^20 and
-    # 2^20 - 1 models plus one separator row each, one row more than
-    # EngineLimits.max_parts, which has no flag.
+def _some_s_update(tmp_path, base_body=""):
+    """A base and an update over A(x) and S(x, y1), ..., S(x, y20); the
+    update adds A(x) -> S(x, y1) | ... | S(x, y20)."""
     items = ", ".join(f"y{i}" for i in range(1, 21))
     decl = f"sort obj: x\nsort item: {items}\npred A(obj)\npred S(obj, item)\n"
     base, update = tmp_path / "base.kb", tmp_path / "update.kb"
-    base.write_text(decl)
+    base.write_text(decl + base_body)
     update.write_text(decl + "*** O ***\nA [= exists S.top .\n")
-    argv = ["update", str(base), str(update), "--max-component-atoms", "20"]
+    return str(base), str(update)
+
+
+def test_stored_row_budget_exits_2(tmp_path):
+    # Split on A(x), both values are live and keep the 20 S atoms as one
+    # block: 2^20 and 2^20 - 1 models plus one separator row each, one row
+    # more than EngineLimits.max_parts, which has no flag.
+    base, update = _some_s_update(tmp_path)
+    argv = ["update", base, update, "--max-component-atoms", "20"]
     message = _assert_budget_refusal(argv, "max_parts", DEFAULT_LIMITS.max_parts)
     assert "need too many stored rows: 2097153," in message
+
+
+def test_block_table_budget_exits_2(tmp_path):
+    # From A(x), the 21-atom block has 2^20 start values, each to be
+    # minimised over its 2^21 - 1 models; the product is counted against
+    # EngineLimits.max_parts before any of that work starts.
+    base, update = _some_s_update(tmp_path, "*** O ***\nA(x).\n")
+    t0 = time.perf_counter()
+    message = _assert_budget_refusal(
+        ["update", base, update], "max_parts", DEFAULT_LIMITS.max_parts
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert "block table is too large to build: 1048576 start values x 2097151" in message
+
+
+def test_candidate_cap_exits_2(tmp_path):
+    # 11 independent even loops: the well-founded bounds decide none of the
+    # 22 heads, and 2^22 candidates exceed rules._CANDIDATE_CAP, a module cap
+    # with no flag
+    objs = ", ".join(f"a{i}" for i in range(1, 12))
+    loops = tmp_path / "loops.kb"
+    loops.write_text(
+        f"sort obj: {objs}\npred A(obj)\npred B(obj)\n*** P ***\n"
+        "A(X) :- not B(X).\nB(X) :- not A(X).\n"
+    )
+    t0 = time.perf_counter()
+    rc, payload = run_json(["models", str(loops)])
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 2 and set(payload) == {"error"}
+    assert payload["error"]["type"] == "ResourceLimit"
+    message = payload["error"]["message"]
+    assert "over 22 undecided of 22 candidate atoms" in message
+    assert f"rules._CANDIDATE_CAP = {rules._CANDIDATE_CAP}" in message
 
 
 def test_explicit_plan_gives_same_answer():

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridmknf import rules
 from hybridmknf.errors import ResourceLimit
 from hybridmknf.oracle import brute_dynamic_stable_models, brute_stable_models
 from hybridmknf.rules import (
@@ -115,6 +116,53 @@ def test_mask_search_matches_oracle(case):
     swept = sorted(scope_of(first) if scope is None else scope)
     want = brute_stable_models(_raw(first), swept)
     assert stable_models(first, scope) == sorted(want, key=sorted)
+
+
+def _bounds(programs, scope=None):
+    """The well-founded bounds (sure, maybe) of a search, as sets of atoms
+    among its candidate atoms."""
+    heads, scope_mask, compiled = rules._compile(programs, scope)
+    sure, maybe = rules._bounds(compiled, scope_mask)
+    return (
+        {a for j, a in enumerate(heads) if sure >> j & 1},
+        {a for j, a in enumerate(heads) if maybe >> j & 1},
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_sequences())
+def test_stable_models_lie_between_the_bounds(case):
+    programs, scope = case
+    every_rule = [r for prog in programs for r in prog]
+    swept = sorted(scope_of(every_rule) if scope is None else scope)
+    sure, maybe = _bounds(programs, scope)
+    for model in brute_dynamic_stable_models([_raw(p) for p in programs], swept):
+        assert sure <= model <= maybe
+
+
+def test_stratified_chain_needs_no_guess():
+    # p_0.  p_{i+1} :- p_i, not q_i.  The q_i have no rules, so every p_i is
+    # sure: 30 candidate atoms, past the cap if each were guessed
+    chain = [Rule((T, 0), ())] + [
+        Rule((T, 2 * i + 2), ((T, 2 * i), (F, 2 * i + 1))) for i in range(29)
+    ]
+    p_atoms = set(range(0, 60, 2))
+    assert _bounds([chain]) == (p_atoms, p_atoms)
+    assert 1 << len(p_atoms) > rules._CANDIDATE_CAP
+    assert dynamic_stable_models([chain]) == [frozenset(p_atoms)]
+
+
+@pytest.mark.parametrize("length", range(2, 7))
+def test_negative_cycles_match_oracle(length):
+    # p_i :- not p_{i+1}, around the cycle: an odd cycle has no stable model,
+    # an even one has two; the bounds decide none of its atoms
+    cycle = [Rule((T, i), ((F, (i + 1) % length),)) for i in range(length)]
+    assert _bounds([cycle]) == (set(), set(range(length)))
+    got = dynamic_stable_models([cycle])
+    assert got == sorted(
+        brute_dynamic_stable_models([_raw(cycle)], range(length)), key=sorted
+    )
+    assert len(got) == (2 if length % 2 == 0 else 0)
 
 
 def test_dynamic_models_satisfy_newest_program():

@@ -205,16 +205,65 @@ def test_cap_errors_name_the_cap():
         r"more than EngineLimits\.max_parts = 2",
     ):
         update_with_theory(halves, [Disj((P, Q))], two)
-    # the empty start alone has three minimal results, stored as three rows
-    # of one factor; checked with one start point and with two
+    # the block of P | Q | 2 has seven models to minimise from each start
+    # value, with one start point and with two
     some = Disj((P, Q, Atom(2)))
     for models in ([frozenset()], [frozenset(), frozenset({0})]):
         with pytest.raises(
             ResourceLimit,
-            match=r"update results need too many stored rows: 3, "
-            r"more than EngineLimits\.max_parts = 2",
+            match=rf"update block table is too large to build: {len(models)} start "
+            r"values x 7 block models, more than EngineLimits\.max_parts = 2",
         ):
             update_with_theory(from_models([0, 1, 2], models), [some], two)
+    # exactly one of 0 and 1, and of 2 and 3: two blocks of two models each,
+    # which the one start point links into one factor of four results
+    one_of = [Disj((P, Q)), Neg(Conj((P, Q)))]
+    one_of += [Disj((Atom(2), Atom(3))), Neg(Conj((Atom(2), Atom(3))))]
+    with pytest.raises(
+        ResourceLimit,
+        match=r"update results need too many stored rows: 4, "
+        r"more than EngineLimits\.max_parts = 2",
+    ):
+        update_with_theory(from_models([0, 1, 2, 3], [frozenset()]), one_of, two)
+
+
+def _sure_hub():
+    """Atom 0 is true, and while it is, each block {j, j + 3} for j = 1, 2, 3
+    holds j or not j + 3; with two-atom blocks, atom 0 is the separator, and
+    the parts budget is 12."""
+    sentences = [P] + [
+        Implies(P, Disj((Atom(j), Neg(Atom(j + 3))))) for j in (1, 2, 3)
+    ]
+    limits = dataclasses.replace(DEFAULT_LIMITS, max_component_atoms=2, max_parts=12)
+    return sentences, limits
+
+
+def test_start_set_is_counted_per_factor():
+    # free atoms 0, 4, 5 and 6 make 128 start points over the group, but the
+    # start factors hold 2, 4, 4 and 4 of them, within a budget of 12
+    sentences, limits = _sure_hub()
+    m = ModelSet(tuple(Component((j,), [0, 1]) for j in (1, 2, 3)))
+    universe = list(range(7))
+    assert interpretation_count(list(m.components), len(universe)) == 128
+    want = brute_set_update(
+        denot(m, universe), brute_fo_models(sentences, universe), [[a] for a in universe]
+    )
+    got = update_with_theory(m, sentences, limits)
+    assert denot(got, universe) == frozenset(want)
+
+
+def test_oversized_start_factor_is_refused_before_expanding():
+    # one start component over atoms 1, 2 and 3 links the three blocks into
+    # one factor of 8 x 8 = 64 start points
+    sentences, limits = _sure_hub()
+    m = ModelSet((Component((1, 2, 3), list(range(8))),))
+    with mock.patch.object(winslett, "expand", side_effect=AssertionError("expanded")):
+        with pytest.raises(
+            ResourceLimit,
+            match=r"update start set is too large to enumerate: 64 starts, "
+            r"more than EngineLimits\.max_parts = 12",
+        ):
+            update_with_theory(m, sentences, limits)
 
 
 def test_sequence_identity_and_singleton():
@@ -358,9 +407,10 @@ def test_update_result_does_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_update_budget_counts_results_repeated_across_chunks(monkeypatch):
-    # Exactly one of a, b, c, updating the starts {}, {a, b, c} and {d}, one
-    # start per chunk: the first two chunks give the same three results, the
-    # third three new ones.
+    # Exactly one of a, b, c, updating the starts {}, {a, b, c}, {d} and {e},
+    # one start per chunk: the first two chunks give the same three results,
+    # the others three new ones each.  The block table holds the two start
+    # values on a, b, c times three models, fewer than the nine results.
     monkeypatch.setattr(winslett, "_CHUNK_STARTS", 1)
     one_of = [
         Disj((Atom(0), Atom(1), Atom(2))),
@@ -368,18 +418,18 @@ def test_update_budget_counts_results_repeated_across_chunks(monkeypatch):
         Neg(Conj((Atom(0), Atom(2)))),
         Neg(Conj((Atom(1), Atom(2)))),
     ]
-    starts = [frozenset(), frozenset({0, 1, 2}), frozenset({3})]
-    m = from_models([0, 1, 2, 3], starts)
-    six = dataclasses.replace(DEFAULT_LIMITS, max_parts=6)
-    (c,) = update_with_theory(m, one_of, six).components
-    assert c.parts.tolist() == [1, 2, 4, 9, 10, 12] and c.rows == 6
-    five = dataclasses.replace(DEFAULT_LIMITS, max_parts=5)
+    starts = [frozenset(), frozenset({0, 1, 2}), frozenset({3}), frozenset({4})]
+    m = from_models([0, 1, 2, 3, 4], starts)
+    nine = dataclasses.replace(DEFAULT_LIMITS, max_parts=9)
+    (c,) = update_with_theory(m, one_of, nine).components
+    assert c.parts.tolist() == [1, 2, 4, 9, 10, 12, 17, 18, 20] and c.rows == 9
+    eight = dataclasses.replace(DEFAULT_LIMITS, max_parts=8)
     with pytest.raises(
         ResourceLimit,
-        match=r"update results need too many stored rows: 6, "
-        r"more than EngineLimits\.max_parts = 5",
+        match=r"update results need too many stored rows: 9, "
+        r"more than EngineLimits\.max_parts = 8",
     ):
-        update_with_theory(m, one_of, five)
+        update_with_theory(m, one_of, eight)
 
 
 # Hand cases over s = 0, a = 1, b = 2 with blocks of one atom: s becomes the
