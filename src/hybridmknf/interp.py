@@ -315,17 +315,22 @@ class Component:
     union of products.
 
     Parts are bitmasks relative to the atoms tuple: bit i of a part mask is
-    the truth value of atoms[i].  The scope is split into factors, given as
-    disjoint bit masks that cover it.  Each term holds one array of masks
-    per factor, inside that factor's bits, and stands for every OR of one
-    mask from each array; the component is the union of its terms.  Terms
-    must be pairwise disjoint, so part_count, the size of that union, is
-    the sum of the terms' product sizes, and rows counts the masks stored.
+    the truth value of atoms[i].  The scope is split into factors, each the
+    tuple of scope bit positions it covers, so that every position lies in
+    exactly one factor.  Each term holds one array of masks per factor, in
+    that factor's own bits: bit i of such a mask is the value at the
+    factor's i-th position.  A term stands for every part that takes one
+    mask from each array, and the component is the union of its terms.
+    Terms must be pairwise disjoint, so part_count, the size of that union,
+    is the sum of the terms' product sizes, and rows counts the masks
+    stored.
 
-    Component(atoms, parts) is the flat case, one term over one factor:
-    given as any iterable of masks or an integer array, its parts are kept
-    as a sorted, unique, read-only int64 array.  Component.union builds the
-    general case; its flat parts array is built on first read of parts.
+    Component(atoms, parts) is the flat case, one term over one factor of
+    every position in order: given as any iterable of masks or an integer
+    array, its parts are kept as a sorted, unique, read-only int64 array.
+    Component.union builds the general case.  Each of its factors fits one
+    int64 mask, but its scope need not: the flat parts array is built on
+    first read of parts, as Python ints in an object array past 62 atoms.
     """
 
     def __init__(self, atoms: tuple[int, ...], parts: Iterable[int] | np.ndarray) -> None:
@@ -344,7 +349,7 @@ class Component:
             raise ValueError(out_of_range)
         flat.flags.writeable = False
         self.atoms = atoms
-        self.factors = ((1 << len(atoms)) - 1,)
+        self.factors = (tuple(range(len(atoms))),)
         self.terms = ((flat,),)
         self.part_count = self.rows = flat.size
         # the flat case holds its parts array already
@@ -354,18 +359,17 @@ class Component:
     def union(
         cls,
         atoms: tuple[int, ...],
-        factors: Sequence[int],
+        factors: Sequence[Sequence[int]],
         terms: Sequence[Sequence[np.ndarray]],
     ) -> "Component":
         """The union of the products of pairwise disjoint terms, each one
-        array of masks per factor mask, inside that factor's bits.  One
-        term over one factor is built as the flat case."""
+        array of masks per factor, in that factor's own bits.  One term over
+        one factor is built as the flat case."""
         if len(terms) == 1 and len(factors) == len(terms[0]) == 1:
-            return cls(atoms, terms[0][0])
+            return cls(atoms, lift_bits(terms[0][0], factors[0]))
         _check_scope(atoms)
-        if sum(factors) != (1 << len(atoms)) - 1 or any(
-            a & b for a, b in itertools.combinations(factors, 2)
-        ):
+        factors = tuple(tuple(f) for f in factors)
+        if sorted(p for f in factors for p in f) != list(range(len(atoms))):
             raise ValueError("component factors must split the scope")
         kept = []
         for term in terms:
@@ -374,7 +378,7 @@ class Component:
             arrays = tuple(sorted_unique(a) for a in term)
             if not all(a.size for a in arrays):
                 raise ValueError("component needs a nonempty part set")
-            if any((a & ~mask).any() for a, mask in zip(arrays, factors)):
+            if any((a >> len(f)).any() for a, f in zip(arrays, factors)):
                 raise ValueError("part mask out of range for its factor")
             for a in arrays:
                 a.flags.writeable = False
@@ -383,7 +387,7 @@ class Component:
             raise ValueError("component needs a nonempty part set")
         self = cls.__new__(cls)
         self.atoms = atoms
-        self.factors = tuple(factors)
+        self.factors = factors
         self.terms = tuple(kept)
         self.part_count = sum(math.prod(a.size for a in term) for term in kept)
         self.rows = sum(a.size for term in kept for a in term)
@@ -398,16 +402,18 @@ class Component:
         return self is other or (
             self.atoms == other.atoms
             and self.part_count == other.part_count
-            and self.parts.tobytes() == other.parts.tobytes()
+            and np.array_equal(self.parts, other.parts)
         )
 
     def __hash__(self) -> int:
-        return hash((self.atoms, self.parts.tobytes()))
+        # equal components hold the same parts, so they agree on all of these
+        return hash((self.atoms, self.part_count, self.fixed_true, self.fixed_false))
 
     @cached_property
     def parts(self) -> np.ndarray:
-        """Every part as one sorted, unique, read-only int64 array."""
-        parts = np.sort(_union_of_products(self.terms))
+        """Every part as one sorted, unique, read-only array: int64 up to 62
+        atoms, Python ints in an object array past them."""
+        parts = np.sort(_union_of_products(self.terms, self.factors, len(self.atoms)))
         parts.flags.writeable = False
         return parts
 
@@ -421,7 +427,10 @@ class Component:
         in every mask of their factor."""
         out = (1 << len(self.atoms)) - 1
         for term in self.terms:
-            out &= sum(int(np.bitwise_and.reduce(a)) for a in term)
+            held = 0
+            for a, f in zip(term, self.factors):
+                held |= _place(int(np.bitwise_and.reduce(a)), f)
+            out &= held
         return out
 
     @cached_property
@@ -429,20 +438,37 @@ class Component:
         """Mask of the bits clear in every part, that is in every stored mask."""
         seen = 0
         for term in self.terms:
-            for a in term:
-                seen |= int(np.bitwise_or.reduce(a))
+            for a, f in zip(term, self.factors):
+                seen |= _place(int(np.bitwise_or.reduce(a)), f)
         return (1 << len(self.atoms)) - 1 & ~seen
 
-    def reading(self, bits: int) -> tuple[int, Sequence[Sequence[np.ndarray]]]:
-        """The parts cut down to the factors that hold some of the given
-        bits, with the other factors' bits cleared: how many there are,
-        counted once per part of each term's product, and each term's
-        arrays for those factors."""
+    @cached_property
+    def _factor_masks(self) -> list[int]:
+        return [_place((1 << len(f)) - 1, f) for f in self.factors]
+
+    def reading(self, bits: int) -> tuple[int, list[int]]:
+        """The factors that hold some of the given bits, and how many parts
+        there are cut down to them, counted once per part of each term's
+        product."""
         if len(self.factors) == 1:
-            return self.part_count, self.terms
-        touched = [f for f, mask in enumerate(self.factors) if mask & bits]
-        terms = [[term[f] for f in touched] for term in self.terms]
-        return sum(math.prod(a.size for a in term) for term in terms), terms
+            return self.part_count, [0]
+        touched = [f for f, mask in enumerate(self._factor_masks) if mask & bits]
+        count = sum(math.prod(term[f].size for f in touched) for term in self.terms)
+        return count, touched
+
+    def cut(self, factors: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+        """The parts cut down to the given factors: those factors' atoms,
+        one factor after another, and the masks over them, bit i for the
+        i-th of those atoms."""
+        if len(self.factors) == 1:
+            return self.atoms, self.parts
+        atoms: list[int] = []
+        spans = []
+        for f in factors:
+            spans.append(range(len(atoms), len(atoms) + len(self.factors[f])))
+            atoms.extend(self.atoms[p] for p in self.factors[f])
+        terms = [[term[f] for f in factors] for term in self.terms]
+        return tuple(atoms), _union_of_products(terms, spans, len(atoms))
 
     def project(self, atoms: Iterable[int]) -> "Component | None":
         """Component over the given subset of this scope, or None if disjoint."""
@@ -509,11 +535,11 @@ def restrict(m: ModelSet, atoms: frozenset[int]) -> ModelSet:
     return ModelSet(tuple(out))
 
 
-def lift_bits(masks: np.ndarray, positions: list[int]) -> np.ndarray:
+def lift_bits(masks: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """Move bit i of every mask to bit positions[i]: one shift when the
     positions run contiguously upwards."""
     first = positions[0] if positions else 0
-    if positions == list(range(first, first + len(positions))):
+    if list(positions) == list(range(first, first + len(positions))):
         return masks << first
     out = np.zeros(masks.shape, dtype=masks.dtype)
     for i, pos in enumerate(positions):
@@ -529,12 +555,30 @@ def or_product(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return combined
 
 
-def _union_of_products(terms: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """Every OR of one mask from each array of some term, term by term; a
-    lone array is returned as it is."""
-    if len(terms) == 1 and len(terms[0]) == 1:
-        return terms[0][0]
-    return np.concatenate([or_product(term) for term in terms])
+def _place(mask: int, positions: Sequence[int]) -> int:
+    """Bit i of the mask moved to bit positions[i], as a Python int."""
+    out = i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << positions[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
+def _union_of_products(
+    terms: Sequence[Sequence[np.ndarray]], factors: Sequence[Sequence[int]], width: int
+) -> np.ndarray:
+    """Every OR of one mask from each array of some term, each moved from
+    its factor's bits to the factor's positions, term by term; Python ints
+    in an object array past 62 bits."""
+    wide = width > 62
+    return np.concatenate([
+        or_product(
+            lift_bits(a.astype(object) if wide else a, f) for a, f in zip(term, factors)
+        )
+        for term in terms
+    ])
 
 
 def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
@@ -629,9 +673,9 @@ def holds_known(
     _enumeration_guard(cost, len(touched), limits)
     if not rel:
         return eval_objective(sent, frozenset())
-    atoms = [a for c in touched for a in c.atoms] + free
+    pieces = [c.cut(factors) for c, (_, factors) in zip(touched, readings)]
+    atoms = [a for scope, _ in pieces for a in scope] + free
     bit = {a: i for i, a in enumerate(atoms)}
-    pieces = [(c.atoms, _union_of_products(t)) for c, (_, t) in zip(touched, readings)]
     return bool(eval_objective_masks(sent, bit, _lifted_product(pieces, atoms)).all())
 
 

@@ -108,26 +108,37 @@ def _bounds(compiled: Sequence[_MaskRule], scope_mask: int) -> tuple[int, int]:
     semantics over the positive-head rules.
 
     maybe is their least model when "not a" holds for every scope atom a
-    outside sure.  sure is the least model of those that no opposite head at
-    their stage or a later one can reject, when "not a" holds only for the
-    scope atoms outside maybe.  A stable model derives its atoms from rules
-    whose negated atoms are false scope atoms, so it holds sure and lies
-    inside maybe.
+    outside sure, leaving out each rule that a "not" rule of the same atom
+    surely rejects: one at its stage or a later one whose positive body lies
+    inside sure and whose negative body misses maybe.  sure is the least
+    model of the rules that no such "not" rule can reject, when "not a"
+    holds only for the scope atoms outside maybe; a "not" rule can reject
+    only when its body can hold, its positive body inside maybe and its
+    negative body missing sure.  A stable model derives its atoms from rules
+    it keeps, whose negated atoms are false scope atoms, so it holds sure
+    and lies inside maybe.  sure only grows and maybe only shrinks, so the
+    pair settles.
     """
-    latest_not = {atom: stage for stage, pos_head, atom, _, _ in compiled if not pos_head}
-    derive = [(True, a, pos, neg) for _, pos_head, a, pos, neg in compiled if pos_head]
-    unrejectable = [
-        (True, atom, pos, neg)
-        for stage, pos_head, atom, pos, neg in compiled
-        if pos_head and latest_not.get(atom, -1) < stage
-    ]
-    sure = 0
+    nots = [(t, a, pos, neg) for t, positive, a, pos, neg in compiled if not positive]
+    heads = [(t, a, pos, neg) for t, positive, a, pos, neg in compiled if positive]
+    sure, maybe = 0, -1
     while True:
-        maybe = _least_model(derive, 0, scope_mask & ~sure)[0]
-        wider = _least_model(unrejectable, 0, scope_mask & ~maybe)[0]
-        if wider == sure:
+        # the latest stage of a "not" rule per atom among those whose body
+        # surely holds, then among those whose body can hold (the rules come
+        # in stage order)
+        surely = {
+            a: t for t, a, pos, neg in nots if pos & sure == pos and not neg & maybe
+        }
+        derive = [(True, a, pos, neg) for t, a, pos, neg in heads if surely.get(a, -1) < t]
+        narrower = maybe & _least_model(derive, 0, scope_mask & ~sure)[0]
+        can = {
+            a: t for t, a, pos, neg in nots if pos & narrower == pos and not neg & sure
+        }
+        kept = [(True, a, pos, neg) for t, a, pos, neg in heads if can.get(a, -1) < t]
+        wider = sure | _least_model(kept, 0, scope_mask & ~narrower)[0]
+        if (wider, narrower) == (sure, maybe):
             return sure, maybe
-        sure = wider
+        sure, maybe = wider, narrower
 
 
 def _check_candidates(guessed: int, atoms: str) -> None:

@@ -22,10 +22,10 @@ counted against the parts budget before they are enumerated.  Several terms,
 and every update, come back as one component that keeps that union of
 products as it is, one part array per factor in each term, never
 multiplied out; the rows it stores are counted against the parts budget
-before it is built.  Only that union output needs the whole group in one
-int64 mask, so only it refuses a group wider than _LONG_BITS.  No model
-remaining comes back as no component, which update_with_theory reports
-as EmptyUpdate.
+before it is built.  Every array stays in its own factor's bits, so only a
+block and a start factor must fit one int64 mask, _LONG_BITS wide; the
+group may be wider.  No model remaining comes back as no component, which
+update_with_theory reports as EmptyUpdate.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .interp import (
     eval_objective_masks,
     expand,
     interpretation_count,
-    lift_bits,
     sorted_unique,
 )
 
@@ -263,7 +262,9 @@ class _GroupSolver:
         bit_of = {a: i for i, a in enumerate(self.separator)}
         for g in guards:
             live = live[eval_objective_masks(g, bit_of, live)]
+        self.live_values = live
         self.live = live.tolist()
+        self.sep_mask = (1 << len(self.separator)) - 1
 
     def block_models(self, j: int, e: int) -> np.ndarray:
         """Models of block j under separator valuation e, bit i for blocks[j][i]."""
@@ -284,6 +285,10 @@ class _GroupSolver:
             self._tables[key] = masks[ok]
         return self._tables[key]
 
+    def _value_mask(self, j: int) -> int:
+        """Mask of the bits of block j, in its own bits."""
+        return (1 << len(self.blocks[j])) - 1
+
     def model_components(self) -> list[Component]:
         """All models of the theory over the group, or no component when it
         has none.  Its terms are the live values under which every block has
@@ -296,14 +301,10 @@ class _GroupSolver:
             if all(t.size for t in tables):
                 terms[li] = tables
         if len(terms) > 1:
-            self._group_bits()
+            pos = {a: i for i, a in enumerate(self.atoms)}
             return self._union_component(
-                [self.sep_mask] + self.block_masks,
-                [
-                    [self.live_masks[li:li + 1]]
-                    + [lift_bits(t, bits) for t, bits in zip(tables, self.block_bits)]
-                    for li, tables in terms.items()
-                ],
+                [tuple(pos[a] for a in unit) for unit in [self.separator, *self.blocks]],
+                [[self.live_values[li:li + 1]] + tables for li, tables in terms.items()],
                 "theory models",
             )
         if not terms:
@@ -318,24 +319,6 @@ class _GroupSolver:
         out = [Component(self.separator, [self.live[li]])] if self.separator else []
         out.extend(Component(b, t) for b, t in zip(self.blocks, tables))
         return out
-
-    def _group_bits(self) -> None:
-        """Masks over the whole group, bit i for atoms[i], for the union output."""
-        if len(self.atoms) > _LONG_BITS:
-            raise ResourceLimit(
-                f"group of {len(self.atoms)} atoms exceeds the mask width "
-                f"winslett._LONG_BITS = {_LONG_BITS}"
-            )
-        pos = {a: i for i, a in enumerate(self.atoms)}
-        self.block_bits = [[pos[a] for a in block] for block in self.blocks]
-        self.block_masks = [sum(1 << b for b in bits) for bits in self.block_bits]
-        sep_bits = [pos[a] for a in self.separator]
-        self.sep_mask = sum(1 << b for b in sep_bits)
-        self.live_masks = lift_bits(np.array(self.live, dtype=np.int64), sep_bits)
-
-    def _group_models(self, j: int, e: int) -> np.ndarray:
-        """block_models(j, e) in group bit space."""
-        return lift_bits(self.block_models(j, e), self.block_bits[j])
 
     def updated_components(self, comps: Sequence[Component]) -> list[Component]:
         """Models of the theory at minimal change from each start point, as
@@ -352,13 +335,12 @@ class _GroupSolver:
         part's in every block of the factor.  A group result survives exactly
         when one reachable vector per factor ANDs to zero.
         """
-        self._group_bits()
         factors = self._start_factors(comps)
         tables = {}
-        for starts, blocks, _, _ in factors:
-            for j in blocks:
-                models = [self._group_models(j, e) for e in self.live]
-                values = sorted_unique(starts & self.block_masks[j])
+        for _, starts, blocks, _ in factors:
+            for j, shift in blocks:
+                models = [self.block_models(j, e) for e in self.live]
+                values = sorted_unique(starts >> shift & self._value_mask(j))
                 n_models = sum(m.size for m in models)
                 if values.size * n_models > self.limits.max_parts:
                     raise ResourceLimit(
@@ -367,30 +349,26 @@ class _GroupSolver:
                         f"EngineLimits.max_parts = {self.limits.max_parts}"
                     )
                 tables[j] = _BlockTable(models, values)
-        live_masks = self.live_masks.tolist()
         # the dominator columns under each live value, None when there are none
-        columns: list[np.ndarray | None] = [None] * len(live_masks)
-        if len(live_masks) > 1:
-            sep_values = sorted_unique(
-                next(starts for starts, _, has_sep, _ in factors if has_sep) & self.sep_mask
-            )
-            for li, e_mask in enumerate(live_masks):
-                held = np.flatnonzero(self._dominators(sep_values, e_mask, li).any(axis=0))
+        columns: list[np.ndarray | None] = [None] * len(self.live)
+        if len(self.live) > 1:
+            sep_starts = next(starts for _, starts, _, has_sep in factors if has_sep)
+            sep_values = sorted_unique(sep_starts & self.sep_mask)
+            for li, e in enumerate(self.live):
+                held = np.flatnonzero(self._dominators(sep_values, e, li).any(axis=0))
                 columns[li] = held if held.size else None
-        pieces = [[[] for _ in factors] for _ in live_masks]
-        for fi, (starts, blocks, has_sep, _) in enumerate(factors):
+        pieces = [[[] for _ in factors] for _ in self.live]
+        for fi, (_, starts, blocks, has_sep) in enumerate(factors):
+            placed = [(tables[j], shift) for j, shift in blocks]
             for lo in range(0, len(starts), _CHUNK_STARTS):
                 chunk = starts[lo:lo + _CHUNK_STARTS]
                 at = [
-                    np.searchsorted(tables[j].values, chunk & self.block_masks[j])
-                    for j in blocks
+                    np.searchsorted(tables[j].values, chunk >> shift & self._value_mask(j))
+                    for j, shift in blocks
                 ]
-                for li, e_mask in enumerate(live_masks):
+                for li, e in enumerate(self.live):
                     pieces[li][fi].append(
-                        self._factor_changes(
-                            chunk, at, [tables[j] for j in blocks], has_sep,
-                            li, e_mask, columns[li],
-                        )
+                        self._factor_changes(chunk, at, placed, has_sep, li, e, columns[li])
                     )
         products = []
         for li, per_factor in enumerate(pieces):
@@ -399,14 +377,18 @@ class _GroupSolver:
             for combo in _surviving_combos([vectors for _, vectors in split], width):
                 products.append([parts[c] for (parts, _), c in zip(split, combo)])
         return self._union_component(
-            [mask for _, _, _, mask in factors], products, "update results"
+            [positions for positions, _, _, _ in factors], products, "update results"
         )
 
     def _union_component(
-        self, factors: list[int], products: list[list[np.ndarray]], what: str
+        self,
+        factors: list[tuple[int, ...]],
+        products: list[list[np.ndarray]],
+        what: str,
     ) -> list[Component]:
         """One component over the group holding the union of the products,
-        each one array of masks per factor mask, or none without products.
+        each one array of masks per factor, in the bits of that factor's
+        group positions, or none without products.
         The rows it would store, summed over every array of every product,
         are counted against max_parts before it is built."""
         rows = sum(a.size for arrays in products for a in arrays)
@@ -421,15 +403,19 @@ class _GroupSolver:
 
     def _start_factors(
         self, comps: Sequence[Component]
-    ) -> list[tuple[np.ndarray, list[int], bool, int]]:
-        """The start set as a product of factors, each given by its start
-        points in group bits, its blocks, whether it holds the separator, and
-        its mask of group bits.
+    ) -> list[tuple[tuple[int, ...], np.ndarray, list[tuple[int, int]], bool]]:
+        """The start set as a product of factors, each given by its atoms'
+        positions in the group, its start points in its own bits, its blocks
+        with the bit each begins at, and whether it holds the separator.
 
         Blocks and the separator that one start component touches together
         fall into one factor; atoms only the start set mentions stay in their
-        component's factor, where no block changes them.  Every factor's start
-        points are counted against max_parts before any is enumerated.
+        component's factor, where no block changes them.  A factor's atoms
+        come separator first, then block by block, then the atoms only the
+        start set mentions, so separator values need no move and a block's
+        models one shift.  Every factor's width and start points are checked
+        before any is enumerated: its masks must fit _LONG_BITS, and its
+        start points max_parts.
         """
         pos = {a: i for i, a in enumerate(self.atoms)}
         units = [set(b) for b in self.blocks]
@@ -438,6 +424,11 @@ class _GroupSolver:
         groups = sorted(union_find_groups(units + [c.scope for c in comps]), key=min)
         in_factor = [[c for c in comps if c.atoms[0] in group] for group in groups]
         for group, factor_comps in zip(groups, in_factor):
+            if len(group) > _LONG_BITS:
+                raise ResourceLimit(
+                    f"update start factor of {len(group)} atoms exceeds the mask "
+                    f"width winslett._LONG_BITS = {_LONG_BITS}"
+                )
             count = interpretation_count(factor_comps, len(group))
             if count > self.limits.max_parts:
                 raise ResourceLimit(
@@ -446,18 +437,22 @@ class _GroupSolver:
                 )
         factors = []
         for group, factor_comps in zip(groups, in_factor):
-            atoms = sorted(group)
-            bits = [pos[a] for a in atoms]
-            starts = lift_bits(expand(factor_comps, atoms), bits)
-            blocks = [j for j, b in enumerate(self.blocks) if b[0] in group]
             has_sep = bool(self.separator) and self.separator[0] in group
-            factors.append((starts, blocks, has_sep, sum(1 << b for b in bits)))
+            atoms = list(self.separator) if has_sep else []
+            blocks = []
+            for j, block in enumerate(self.blocks):
+                if block[0] in group:
+                    blocks.append((j, len(atoms)))
+                    atoms.extend(block)
+            atoms.extend(sorted(group.difference(atoms)))
+            positions = tuple(pos[a] for a in atoms)
+            factors.append((positions, expand(factor_comps, atoms), blocks, has_sep))
         return factors
 
-    def _dominators(self, s_sep: np.ndarray, e_mask: int, li: int) -> np.ndarray:
+    def _dominators(self, s_sep: np.ndarray, e: int, li: int) -> np.ndarray:
         """Whether live value l changes a strict subset of the separator bits
         that live index li changes from s_sep[i], at [i, l]."""
-        out = ((s_sep[:, None] ^ self.live_masks) & ~(s_sep ^ e_mask)[:, None]) == 0
+        out = ((s_sep[:, None] ^ self.live_values) & ~(s_sep ^ e)[:, None]) == 0
         out[:, li] = False
         return out
 
@@ -465,33 +460,34 @@ class _GroupSolver:
         self,
         chunk: np.ndarray,
         at: list[np.ndarray],
-        tables: list[_BlockTable],
+        tables: list[tuple[_BlockTable, int]],
         has_sep: bool,
         li: int,
-        e_mask: int,
+        e: int,
         columns: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The factor results under live index li from the chunk's start
         points, with the cover vector of each over the dominator columns,
-        or None when no start has a dominator."""
-        counts = [t.count[a, li] for t, a in zip(tables, at)]
+        or None when no start has a dominator.  Each block table comes with
+        the bit its block begins at in the factor."""
+        counts = [t.count[a, li] for (t, _), a in zip(tables, at)]
         total = np.ones(len(chunk), dtype=np.int64)
         for c in counts:
             total *= c
         owner = np.repeat(np.arange(len(chunk)), total)
         rest = _ragged_arange(total)
         s_sep = chunk & self.sep_mask
-        diff = (s_sep ^ e_mask)[owner] if has_sep else np.zeros(owner.size, np.int64)
+        diff = (s_sep ^ e)[owner] if has_sep else np.zeros(owner.size, np.int64)
         vec = None if columns is None else np.ones((owner.size, columns.size), bool)
-        for t, a, c in zip(tables, at, counts):
+        for (t, shift), a, c in zip(tables, at, counts):
             c = c[owner]
             entry = t.first[a[owner], li] + rest % c
             rest //= c
-            diff |= t.diffs[entry]
+            diff |= t.diffs[entry] << shift
             if vec is not None:
                 vec &= t.cover[np.ix_(entry, columns)]
         if vec is not None and has_sep:
-            vec &= self._dominators(s_sep, e_mask, li)[np.ix_(owner, columns)]
+            vec &= self._dominators(s_sep, e, li)[np.ix_(owner, columns)]
         return chunk[owner] ^ diff, vec
 
 

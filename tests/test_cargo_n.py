@@ -1,8 +1,9 @@
 """Cargo-N, the cargo corpus with its block patterns cloned N times, around
 the walls the benchmark ladder measures: `models` answers up to the top rung
-with every cloned acceptance verdict, and `update` answers for N = 4, 5 and
-6 with up to 593,779,228,672 distinct results held as a union of factored
-products; at N = 6 the widest group fills the 62-bit mask."""
+with every cloned acceptance verdict, and `update` answers for N = 4 to 7
+with up to 4,681,720,511,070,208 distinct results held as a union of
+factored products.  Each factor keeps its own bits, so the 78-atom widest
+group at N = 7 is wider than one 62-bit mask, while no factor is."""
 
 from __future__ import annotations
 
@@ -52,7 +53,12 @@ def test_cargo_8_models_cli_exits_0(tmp_path):
 
 
 # atoms and distinct results of the widest cargo-N update group
-_WIDEST_UPDATE = {4: (36, 4_456_448), 5: (48, 4_429_185_024), 6: (62, 593_779_228_672)}
+_WIDEST_UPDATE = {
+    4: (36, 4_456_448),
+    5: (48, 4_429_185_024),
+    6: (62, 593_779_228_672),
+    7: (78, 4_681_720_511_070_208),
+}
 
 
 @pytest.mark.parametrize("n", sorted(_WIDEST_UPDATE))
@@ -79,7 +85,7 @@ def test_cargo_n_update_answers(n, tmp_path, monkeypatch):
     known_wrong = set(cargo_n.clone_queries(KNOWN_WRONG["cargo"], n))
     queries = cargo_n.clone_queries(CRITERION_2, n)
     assert known_wrong < set(queries)
-    if n == 6:
+    if n >= 6:
         assert known_wrong == {"not PartialInspection(s3)", "not PartialInspection(s6)"}
     wrong = {q for q in queries if not entails(models, parse_query(q, dkb.sig))}
     assert wrong == known_wrong

@@ -409,6 +409,32 @@ def test_block_table_budget_exits_2(tmp_path):
     assert "block table is too large to build: 1048576 start values x 2097151" in message
 
 
+def test_wide_start_factor_exits_2(tmp_path):
+    # The base leaves one union component over the hub A(x) and four chains
+    # of 16 equivalent B atoms behind it: 65 atoms, 17 parts.  The update
+    # touches the hub, so its start factor is that whole component, wider
+    # than one mask; winslett._LONG_BITS is a module cap with no flag.
+    decl = "sort obj: x\npred A(obj)\n" + "".join(f"pred B{i}(obj)\n" for i in range(1, 65))
+    axioms = []
+    for first in range(1, 65, 16):
+        axioms.append(f"~A [= B{first}")
+        axioms += [f"B{b} == B{b + 1}" for b in range(first, first + 15)]
+    base, update = tmp_path / "base.kb", tmp_path / "update.kb"
+    base.write_text(decl + "*** O ***\n" + "\n".join(axioms) + "\n")
+    update.write_text(decl + "*** O ***\n~A(x)\n")
+    rc, payload = run_json(["models", str(base)])
+    assert rc == 0
+    (wide,) = payload["models"][0]["components"]
+    assert (len(wide["atoms"]), wide["part_count"]) == (65, 17)
+    rc, payload = run_json(["update", str(base), str(update)])
+    assert rc == 2 and set(payload) == {"error"}
+    assert payload["error"]["type"] == "ResourceLimit"
+    assert payload["error"]["message"] == (
+        "update start factor of 65 atoms exceeds the mask width "
+        "winslett._LONG_BITS = 62"
+    )
+
+
 def test_candidate_cap_exits_2(tmp_path):
     # 11 independent even loops: the well-founded bounds decide none of the
     # 22 heads, and 2^22 candidates exceed rules._CANDIDATE_CAP, a module cap

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -42,7 +43,7 @@ from hybridmknf.interp import (
 )
 from hybridmknf.oracle import mknf_satisfies
 
-from helpers import denot, from_models
+from helpers import denot, from_models, rnd_objective
 
 P, Q = Atom(0), Atom(1)
 
@@ -573,24 +574,32 @@ def test_satisfies_matches_the_literal_mknf_reading(m, sent):
 
 @st.composite
 def _union_case(draw):
-    """A union component over 2-8 of the atoms 0-7, split into 2-3 factors,
-    with 1-4 pairwise disjoint terms; the flat component of the same parts;
-    and the atoms outside its scope, some under one flat component."""
+    """A union component over 2-8 of the atoms 0-7, split into 2-3 factors
+    whose scope positions interleave and run in any order, with 1-4
+    pairwise disjoint terms; the flat component of the same parts; and the
+    atoms outside its scope, some under one flat component."""
     scope = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=2))))
     rng = random.Random(draw(st.integers(0, 1 << 16)))
     n_factors = rng.randint(2, min(3, len(scope)))
     owner = list(range(n_factors))
     owner += [rng.randrange(n_factors) for _ in range(len(scope) - n_factors)]
     rng.shuffle(owner)
-    factors = [sum(1 << i for i, f in enumerate(owner) if f == k) for k in range(n_factors)]
-    values = [[x for x in range(f + 1) if x & ~f == 0] for f in factors]
+    factors = []
+    for k in range(n_factors):
+        positions = [i for i, f in enumerate(owner) if f == k]
+        rng.shuffle(positions)
+        factors.append(tuple(positions))
     terms: list[list[list[int]]] = []
     seen: set[int] = set()
     wanted = rng.randint(1, 4)
     # draw terms until enough are disjoint from those kept
     for _ in range(8 * wanted):
-        term = [rng.sample(v, rng.randint(1, min(3, len(v)))) for v in values]
-        parts = {sum(combo) for combo in itertools.product(*term)}
+        term = [rng.sample(range(1 << len(f)), rng.randint(1, min(3, 1 << len(f))))
+                for f in factors]
+        parts = {
+            sum(_scope_bits(mask, f) for mask, f in zip(combo, factors))
+            for combo in itertools.product(*term)
+        }
         if not parts & seen:
             terms.append(term)
             seen |= parts
@@ -603,6 +612,11 @@ def _union_case(draw):
         parts = rng.sample(range(1 << len(others)), rng.randint(1, 1 << len(others)))
         around = [Component(tuple(others), parts)]
     return union, Component(scope, sorted(seen)), around
+
+
+def _scope_bits(mask: int, positions: tuple[int, ...]) -> int:
+    """A factor mask moved to the scope positions of its factor."""
+    return sum(1 << p for i, p in enumerate(positions) if mask >> i & 1)
 
 
 _MODAL_8 = st.recursive(
@@ -629,6 +643,7 @@ def test_union_component_reads_as_its_flat_parts(case, sents, modal, keep, seed)
     assert union.rows == sum(a.size for t in union.terms for a in t)
     assert union.parts.tolist() == flat.parts.tolist()
     assert not union.parts.flags.writeable and union == flat
+    assert hash(union) == hash(flat)
     assert (union.fixed_true, union.fixed_false) == (flat.fixed_true, flat.fixed_false)
     assert union.project(keep) == flat.project(keep)
     assert interpretation_count([union] + around, 8) == interpretation_count(
@@ -643,3 +658,69 @@ def test_union_component_reads_as_its_flat_parts(case, sents, modal, keep, seed)
     other = mutate_one_part(random.Random(seed), m_flat)
     assert model_sets_equal(m_union, other) == model_sets_equal(m_flat, other)
     assert model_sets_equal(other, m_union) == model_sets_equal(other, m_flat)
+
+
+def test_union_wider_than_a_mask_reads_factor_by_factor():
+    # about 20 factors of 3-4 atoms each over the atoms 0-69, whose
+    # positions interleave, and 3 disjoint terms; read against a
+    # brute-force evaluation of each term's factors on their own
+    rng = random.Random(61)
+    atoms = tuple(range(70))
+    order = list(atoms)
+    rng.shuffle(order)
+    factors = []
+    at = 0
+    while at < 70:
+        width = min(70 - at, rng.choice((3, 4)))
+        factors.append(tuple(order[at:at + width]))
+        at += width
+    # factor 0 tells the terms apart, so they are pairwise disjoint
+    terms = []
+    for t in range(3):
+        term = [[t]] + [
+            rng.sample(range(1 << len(f)), rng.randint(1, 3)) for f in factors[1:]
+        ]
+        if t == 1:
+            # a factor fixed in this term only, so it fixes no atom overall
+            term[5] = [(1 << len(factors[5])) - 1]
+        terms.append(term)
+    union = Component.union(atoms, factors, [[np.array(a) for a in t] for t in terms])
+    assert union.part_count == sum(math.prod(len(a) for a in t) for t in terms)
+    assert union.rows == sum(len(a) for t in terms for a in t)
+    fixed_true = fixed_false = (1 << 70) - 1
+    for term in terms:
+        for values, f in zip(term, factors):
+            for v in values:
+                fixed_true &= ~_scope_bits(~v & (1 << len(f)) - 1, f)
+                fixed_false &= ~_scope_bits(v, f)
+    assert (union.fixed_true, union.fixed_false) == (fixed_true, fixed_false)
+    assert fixed_true and fixed_false
+    free = Component((70, 71), [0, 3])
+    m = ModelSet((union, free))
+
+    def brute(sent):
+        # true in every part of every term, each term read only on the
+        # factors the sentence touches, and in both parts over atoms 70, 71
+        rel = atoms_of(sent)
+        touched = [k for k, f in enumerate(factors) if rel & set(f)]
+        for term in terms:
+            for combo in itertools.product(*(term[k] for k in touched)):
+                true = set()
+                for mask, k in zip(combo, touched):
+                    true |= {factors[k][i] for i in range(len(factors[k])) if mask >> i & 1}
+                for extra in (set(), {70, 71}):
+                    if not eval_objective(sent, frozenset(true | extra)):
+                        return False
+        return True
+
+    for a in atoms + (70, 71):
+        for lit in (Atom(a), Neg(Atom(a))):
+            assert holds_known(m, lit) == brute(lit), lit
+    for _ in range(200):
+        picked = rng.sample(factors, rng.randint(1, 3))
+        pool = [a for f in picked for a in f] + [70]
+        sent = rnd_objective(rng, pool)
+        assert holds_known(m, sent) == brute(sent), sent
+        modal = Implies(Known(sent), rnd_objective(rng, pool))
+        want = not brute(sent) or brute(modal.head)
+        assert satisfies(m, modal) == want, modal

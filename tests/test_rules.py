@@ -152,6 +152,62 @@ def test_stratified_chain_needs_no_guess():
     assert dynamic_stable_models([chain]) == [frozenset(p_atoms)]
 
 
+def _cargo_like_layer(n: int):
+    """A two-stage rule layer shaped like the cargo-N update's, over n
+    shipments: inspection follows from a random pick or from a commodity
+    not known as low risk, and the update rejects it when the producer is
+    an EU one, a fact for even k and without rules for odd k; importer i2
+    is admissible unless suspected, only i1 is, and its approval of a
+    vegetable, which makes it expeditable, is rejected for tomatoes, the
+    even commodities.  Returns the programs and the one stable model."""
+    names: dict[str, int] = {}
+
+    def atom(name: str) -> int:
+        return names.setdefault(name, len(names))
+
+    bad, ok = atom("SuspectedBadGuy(i1)"), atom("AdmissibleImporter(i2)")
+    base = [Rule((T, bad), ()), Rule((T, ok), ((F, atom("SuspectedBadGuy(i2)")),))]
+    update = []
+    model = {bad, ok}
+    for k in range(n):
+        partial, compliant = atom(f"PartialInspection(s{k})"), atom(f"CompliantShpmt(s{k})")
+        full, eu = atom(f"FullInspection(s{k})"), atom(f"EURegisteredProducer(p{k})")
+        veg, tomato = atom(f"EdibleVegetable(c{k})"), atom(f"Tomato(c{k})")
+        approved = atom(f"ApprovedImporterOf(i2, c{k})")
+        expeditable = atom(f"ExpeditableImporter(c{k}, i2)")
+        base += [
+            Rule((T, partial), ((T, atom(f"RandomInspection(s{k})")),)),
+            Rule((T, partial), ((F, atom(f"LowRiskEUCommodity(c{k})")),)),
+            Rule((T, full), ((F, compliant),)),
+            Rule((T, veg), ()),
+            Rule((T, approved), ((T, veg),)),
+            Rule((T, expeditable), ((T, ok), (T, approved))),
+        ]
+        update += [Rule((F, partial), ((T, eu),)), Rule((F, approved), ((T, tomato),))]
+        model |= {full, veg}
+        if k % 2 == 0:
+            base += [Rule((T, eu), ()), Rule((T, tomato), ())]
+            model |= {eu, tomato}
+        else:
+            model |= {partial, approved, expeditable}
+    return [base, update], frozenset(model)
+
+
+def test_layered_not_heads_need_no_guess():
+    # a "not" rule whose body cannot hold rejects nothing, and one whose
+    # body surely holds keeps the heads it rejects out of maybe, so the
+    # bounds of this acyclic layer meet and decide all 50 candidate atoms
+    # of its 8 shipments
+    programs, model = _cargo_like_layer(8)
+    sure, maybe = _bounds(programs)
+    assert sure == maybe == model
+    assert dynamic_stable_models(programs) == [model]
+    # the small layer is within reach of the exhaustive reference
+    programs, model = _cargo_like_layer(1)
+    swept = sorted(scope_of(r for prog in programs for r in prog))
+    assert brute_dynamic_stable_models([_raw(p) for p in programs], swept) == [model]
+
+
 @pytest.mark.parametrize("length", range(2, 7))
 def test_negative_cycles_match_oracle(length):
     # p_i :- not p_{i+1}, around the cycle: an odd cycle has no stable model,

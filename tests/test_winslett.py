@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridmknf import winslett
 from hybridmknf.errors import EmptyIntersection, EmptyUpdate, ResourceLimit
@@ -26,6 +26,7 @@ from hybridmknf.interp import (
     atoms_of,
     denotation,
     eval_objective,
+    holds_known,
     interpretation_count,
     model_sets_equal,
 )
@@ -182,14 +183,59 @@ def _hub_chains(k: int, length: int) -> list:
     return out
 
 
+def test_group_wider_than_a_mask_answers_as_one_union():
+    # both values of the hub atom 0 are live, so its 65-atom group comes
+    # back as one union component; under each hub value the four chains are
+    # independent copies of the one chain behind the hub
+    (wide,) = theory_model_set(_hub_chains(4, 16)).components
+    assert wide.atoms == tuple(range(65))
+    per_chain = []
+    for hub in (Neg(P), P):
+        one = theory_model_set(_hub_chains(1, 16) + [hub])
+        (chain,) = [c for c in one.components if c.atoms != (0,)]
+        per_chain.append(chain.part_count)
+    assert wide.part_count == sum(count ** 4 for count in per_chain)
+    assert "parts" not in vars(wide)
+    # the same literals hold as behind the one-chain hub, chain by chain
+    single = theory_model_set(_hub_chains(1, 16))
+    wide_set = ModelSet((wide,))
+    for a in range(65):
+        twin = 0 if a == 0 else (a - 1) % 16 + 1
+        for lit, twin_lit in ((Atom(a), Atom(twin)), (Neg(Atom(a)), Neg(Atom(twin)))):
+            assert holds_known(wide_set, lit) == holds_known(single, twin_lit), lit
+
+
+def _hub_equivalences(k: int, length: int) -> list:
+    """k chains of equivalences over atoms 1.. of the given length, each
+    chain's first atom or-ed with the hub atom 0: with the hub false every
+    chain is true, with it true each chain is all true or all false."""
+    out = []
+    for first in range(1, 1 + k * length, length):
+        out.append(Disj((Atom(0), Atom(first))))
+        out.extend(
+            Conj((Implies(Atom(a), Atom(a + 1)), Implies(Atom(a + 1), Atom(a))))
+            for a in range(first, first + length - 1)
+        )
+    return out
+
+
+def test_start_factor_wider_than_a_mask_is_refused_before_expanding():
+    # the first stage leaves one union component over 65 atoms with 1 + 2^4
+    # parts; the second touches its hub, so the start factor is that whole
+    # component
+    first = update_with_theory(FULL_SET, _hub_equivalences(4, 16))
+    (wide,) = first.components
+    assert (len(wide.atoms), wide.part_count) == (65, 17)
+    with mock.patch.object(winslett, "expand", side_effect=AssertionError("expanded")):
+        with pytest.raises(
+            ResourceLimit,
+            match=r"^update start factor of 65 atoms exceeds the mask width "
+            r"winslett\._LONG_BITS = 62$",
+        ):
+            update_with_theory(first, [Neg(P)])
+
+
 def test_cap_errors_name_the_cap():
-    # both values of the hub atom 0 are live, so its 65-atom group takes
-    # the union path
-    with pytest.raises(
-        ResourceLimit,
-        match=r"group of 65 atoms exceeds the mask width winslett\._LONG_BITS = 62",
-    ):
-        update_with_theory(FULL_SET, _hub_chains(4, 16))
     two = dataclasses.replace(DEFAULT_LIMITS, max_parts=2)
     with pytest.raises(
         ResourceLimit,
@@ -509,9 +555,10 @@ def test_several_surviving_live_values_give_one_union_component(monkeypatch):
     sentences = [Disj((A, Neg(S))), Disj((B, Neg(S)))]
     got = update_with_theory(FULL_SET, sentences, ONE_ATOM_BLOCKS)
     (union,) = got.components
-    assert union.atoms == (0, 1, 2) and union.factors == (0b001, 0b010, 0b100)
+    assert union.atoms == (0, 1, 2) and union.factors == ((0,), (1,), (2,))
+    # each array in its factor's own bits
     assert [[a.tolist() for a in term] for term in union.terms] == [
-        [[0], [0, 2], [0, 4]], [[1], [2], [4]],
+        [[0], [0, 1], [0, 1]], [[1], [1], [1]],
     ]
     assert (union.part_count, union.rows) == (5, 8)
     assert "parts" not in vars(union)
@@ -532,8 +579,9 @@ def test_several_surviving_live_values_give_one_union_component(monkeypatch):
 
 
 def test_wide_group_with_one_live_separator_value_solves():
-    # with the hub fixed true, the 65-atom group of test_cap_errors_name_the_cap
-    # has one live separator value: it comes back as the hub and one
+    # with the hub fixed true, the 65-atom group of
+    # test_group_wider_than_a_mask_answers_as_one_union has one live
+    # separator value: it comes back as the hub and one
     # component per chain, each with the models of the chain alone
     m = update_with_theory(FULL_SET, _hub_chains(4, 16) + [Atom(0)])
     assert [c.atoms for c in m.components] == [(0,)] + [
@@ -556,21 +604,22 @@ def test_block_wider_than_the_mask_is_refused():
         update_with_theory(FULL_SET, chain, wide)
 
 
-@st.composite
-def _one_live_value_theories(draw):
-    """Sentences over at most 12 atoms whose separator is atoms 0.. (1 or 2
-    of them), fixed by unit sentences, with 2-4 blocks behind it; and limits
-    under which no block needs a separator of its own."""
-    n_sep = draw(st.integers(1, 2))
-    n_blocks = draw(st.integers(2, 4))
-    sizes = [draw(st.integers(1, (12 - n_sep) // n_blocks)) for _ in range(n_blocks)]
-    rng = random.Random(draw(st.integers(0, 1 << 16)))
-    sentences = [Atom(s) if draw(st.booleans()) else Neg(Atom(s)) for s in range(n_sep)]
+def _one_live_value_case(n_sep: int, sizes: list[int], signs: list[bool], seed: int):
+    """Sentences whose separator is atoms 0.. (n_sep of them), fixed by unit
+    sentences of the given signs, with blocks of the given sizes behind it,
+    drawn from the seed; and limits under which no block needs a separator
+    of its own."""
+    rng = random.Random(seed)
+    sentences = [Atom(s) if sign else Neg(Atom(s)) for s, sign in enumerate(signs)]
     first = n_sep
     for size in sizes:
         block = range(first, first + size)
         first += size
-        sentences.append(rnd_objective(rng, block))
+        # tautologies make the block's first sentence mention all its atoms,
+        # so the blocks link more atoms to the separator than any one block
+        # holds, and the group needs the separator
+        mention = tuple(Disj((Atom(a), Neg(Atom(a)))) for a in block)
+        sentences.append(Conj((rnd_objective(rng, block),) + mention))
         # two sentences per separator atom and block give the separator
         # atoms the top degree, and the lowest index breaks ties
         for s in range(n_sep):
@@ -580,8 +629,23 @@ def _one_live_value_theories(draw):
     return n_sep, list(range(first)), sentences, limits
 
 
+@st.composite
+def _one_live_value_theories(draw):
+    """One-live-value cases over at most 12 atoms: 1 or 2 separator atoms
+    and 2-4 blocks."""
+    n_sep = draw(st.integers(1, 2))
+    n_blocks = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, (12 - n_sep) // n_blocks)) for _ in range(n_blocks)]
+    signs = [draw(st.booleans()) for _ in range(n_sep)]
+    return _one_live_value_case(n_sep, sizes, signs, draw(st.integers(0, 1 << 16)))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_one_live_value_theories())
+# without the tautologies, this draw's sentences never mention atom 4, and
+# its atoms fall apart into blocks of at most max_component_atoms = 5 with
+# no separator
+@example(_one_live_value_case(1, [1, 5], [True], 1))
 def test_one_live_value_gives_one_component_per_block(case):
     n_sep, universe, sentences, limits = case
     want = frozenset(brute_fo_models(sentences, universe))
