@@ -15,13 +15,13 @@ from .errors import EmptyUpdate, MixedLayer, NotUpdateEnabling, ResourceLimit
 from .interp import (
     Atom,
     Component,
+    Conj,
     DEFAULT_LIMITS,
     EngineLimits,
     Known,
     ModelSet,
     Sentence,
     component_from_models,
-    conj,
     model_sets_equal,
     satisfies,
 )
@@ -145,8 +145,9 @@ def dynamic_models(
         branches = new_branches
 
     # the newest base read as one conjunction, checked with one call per
-    # branch; its first false sentence ends the check
-    newest = conj(dkb.newest().modal_sentences())
+    # branch; its first false sentence ends the check.  Modal sentences are
+    # never constants, so conj would have nothing to fold.
+    newest = Conj(tuple(dkb.newest().modal_sentences()))
     out: list[ModelSet] = []
     for comps in branches:
         m = ModelSet(tuple(comps))

@@ -16,7 +16,13 @@ term comes back as the separator fixed to it plus one component per
 block.  updated_components(comps) answers a given start set.  It does not
 walk the start points one by one: the start components split the group
 into factors, each factor is minimised once per live separator value,
-and the results are products of per-factor part classes.  Each factor's
+and the results are products of per-factor part classes.  A block's
+minimal changes per start value and live value come from a table that
+picks its regime from its size: a dense table (2^k * k < M^2 for k block
+atoms and at most M models under one live value) takes the subset
+transform over all 2^k masks, which costs the same whatever M, and a
+sparse one keeps a pass over each value's diffs, which costs about M^2
+and stays cheap for the one-model tables of small theories.  Each factor's
 start points, and each block's start values times its models, are
 counted against the parts budget before they are enumerated.  Several terms,
 and every update, come back as one component that keeps that union of
@@ -188,41 +194,99 @@ def _surviving_combos(
     return [combo for state, combos in states.items() if 0 in state for combo in combos]
 
 
+# Cells of the (values, live values, 2^k) arrays per subset-transform pass
+# of a dense block table; bounds those arrays as _CHUNK_STARTS bounds the
+# update passes.
+_CHUNK_CELLS = 1 << 22
+
+
+def _dense_chains(
+    models: list[np.ndarray], values: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count, diffs and cover of a _BlockTable by the subset transform.
+
+    For a value v and live index l, the diffs are the models under l XOR v.
+    Their closure under supersets, up[v, l, d], says whether some diff lies
+    inside mask d; it is taken over all 2^width masks with one OR pass per
+    bit (the zeta transform over subsets).  The strict closure takes, for
+    each bit of d, the closure of d without that bit.  A diff is minimal
+    when it is in the closure but not in the strict closure, and its cover
+    row is the closure of every live index at that diff.  np.nonzero lists
+    the minimal diffs value-major, live index next and ascending.
+    """
+    n_live, size = len(models), 1 << width
+    held = np.zeros((n_live, size), dtype=bool)
+    for li, m in enumerate(models):
+        held[li, m] = True
+    lives, masks = np.arange(n_live)[:, None], np.arange(size)
+    step = max(1, _CHUNK_CELLS // (n_live * size))
+    counts, diffs, covers = [], [], []
+    for lo in range(0, len(values), step):
+        up = held[lives, values[lo:lo + step, None, None] ^ masks]
+        minimal = np.zeros_like(up)
+        for b in range(width):
+            pairs = up.reshape(up.shape[:-1] + (-1, 2, 1 << b))
+            pairs[..., 1, :] |= pairs[..., 0, :]
+        for b in range(width):
+            pairs = up.reshape(up.shape[:-1] + (-1, 2, 1 << b))
+            minimal.reshape(pairs.shape)[..., 1, :] |= pairs[..., 0, :]
+        # the strict closure lies inside the closure, so XOR leaves the rest
+        minimal ^= up
+        at, _, d = np.nonzero(minimal)
+        counts.append(np.count_nonzero(minimal, axis=2))
+        diffs.append(d)
+        covers.append(up[at, :, d])
+    return np.concatenate(counts), np.concatenate(diffs), np.concatenate(covers)
+
+
 class _BlockTable:
     """Minimal changes of one block, per occurring start value and live
     separator value, from the block's models under each live value.
 
     The chains are flattened value-major: the chain of value index v under
-    live index l is ``diffs[first[v, l]:first[v, l] + count[v, l]]``.  When
-    several separator values are live, ``cover[i, l]`` says whether some
-    diff of the chain of the same value under live index l lies inside
-    ``diffs[i]``.
+    live index l is ``diffs[first[v, l]:first[v, l] + count[v, l]]``, in
+    ascending order.  When several separator values are live,
+    ``cover[i, l]`` says whether some diff of the chain of the same value
+    under live index l lies inside ``diffs[i]``.
+
+    The table picks its regime from its size.  For a block of k atoms with
+    at most M models under one live value, a dense table (2^k * k < M^2) is
+    built by the subset transform of _dense_chains, which costs about
+    2^k * k per value and live value whatever the models.  A sparse table
+    keeps the Python pass of _minimal_diffs over each value's diffs and a
+    quadratic cover pass per value, about M^2 per value and live value,
+    far below a 2^k array for the one-model tables that small theories
+    build.
     """
 
-    def __init__(self, models: list[np.ndarray], values: np.ndarray) -> None:
-        chains = [
-            [_minimal_diffs((m ^ v).tolist()) for m in models]
-            for v in values.tolist()
-        ]
+    def __init__(self, models: list[np.ndarray], values: np.ndarray, width: int) -> None:
         self.values = values
-        self.count = np.array(
-            [[len(c) for c in row] for row in chains], dtype=np.int64
-        )
+        n_live = len(models)
+        if (1 << width) * width < max(map(len, models), default=0) ** 2:
+            self.count, self.diffs, cover = _dense_chains(models, values, width)
+        else:
+            chains = [
+                [_minimal_diffs((m ^ v).tolist()) for m in models]
+                for v in values.tolist()
+            ]
+            self.count = np.array(
+                [[len(c) for c in row] for row in chains], dtype=np.int64
+            )
+            self.diffs = np.array(
+                [d for row in chains for c in row for d in c], dtype=np.int64
+            )
+            cover = None
+            if n_live > 1:
+                onehot = np.eye(n_live, dtype=bool)
+                rows = np.split(self.diffs, np.cumsum(self.count.sum(axis=1))[:-1])
+                covers = []
+                for d, row_count in zip(rows, self.count):
+                    live_of = onehot[np.repeat(np.arange(n_live), row_count)]
+                    covers.append(((d[None, :] & ~d[:, None]) == 0) @ live_of)
+                cover = np.concatenate(covers)
         flat_count = self.count.ravel()
         self.first = (np.cumsum(flat_count) - flat_count).reshape(self.count.shape)
-        self.diffs = np.array(
-            [d for row in chains for c in row for d in c], dtype=np.int64
-        )
-        self.cover = None
-        n_live = self.count.shape[1]
-        if n_live > 1:
-            onehot = np.eye(n_live, dtype=bool)
-            rows = np.split(self.diffs, np.cumsum(self.count.sum(axis=1))[:-1])
-            covers = []
-            for d, row_count in zip(rows, self.count):
-                live_of = onehot[np.repeat(np.arange(n_live), row_count)]
-                covers.append(((d[None, :] & ~d[:, None]) == 0) @ live_of)
-            self.cover = np.concatenate(covers)
+        self.cover = cover if n_live > 1 else None
 
 
 class _GroupSolver:
@@ -348,7 +412,7 @@ class _GroupSolver:
                         f"start values x {n_models} block models, more than "
                         f"EngineLimits.max_parts = {self.limits.max_parts}"
                     )
-                tables[j] = _BlockTable(models, values)
+                tables[j] = _BlockTable(models, values, len(self.blocks[j]))
         # the dominator columns under each live value, None when there are none
         columns: list[np.ndarray | None] = [None] * len(self.live)
         if len(self.live) > 1:

@@ -1,9 +1,10 @@
 """Cargo-N, the cargo corpus with its block patterns cloned N times, around
 the walls the benchmark ladder measures: `models` answers up to the top rung
-with every cloned acceptance verdict, and `update` answers for N = 4 to 7
-with up to 4,681,720,511,070,208 distinct results held as a union of
-factored products.  Each factor keeps its own bits, so the 78-atom widest
-group at N = 7 is wider than one 62-bit mask, while no factor is."""
+with every cloned acceptance verdict, and `update` answers for N = 4 to 8
+with up to 300,948,541,499,406,024,704 distinct results held as a union of
+factored products.  Each factor keeps its own bits, so the widest groups
+(78 atoms at N = 7, 96 at N = 8) are wider than one 62-bit mask, while no
+factor is."""
 
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ _WIDEST_UPDATE = {
     5: (48, 4_429_185_024),
     6: (62, 593_779_228_672),
     7: (78, 4_681_720_511_070_208),
+    8: (96, 300_948_541_499_406_024_704),
 }
 
 

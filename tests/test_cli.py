@@ -409,6 +409,23 @@ def test_block_table_budget_exits_2(tmp_path):
     assert "block table is too large to build: 1048576 start values x 2097151" in message
 
 
+def test_mixed_layer_past_the_direct_cap_exits_1(tmp_path):
+    # P0 [= P1 [= ... [= P4 with a default rule over P0 and P4: one layer
+    # mixes ontology and rule content over 5 atoms, one more than
+    # dynmknf._DIRECT_LAYER_ATOMS solves directly; that module cap has no flag
+    decl = "sort obj: k0\n" + "".join(f"pred P{i}(obj)\n" for i in range(5))
+    axioms = "".join(f"P{i} [= P{i + 1}.\n" for i in range(4))
+    kb = tmp_path / "mixed.kb"
+    kb.write_text(decl + "*** O ***\n" + axioms + "*** P ***\nP0(k0) :- not P4(k0).\n")
+    rc, out, err = run(["models", str(kb)])
+    assert rc == 1
+    assert "Traceback" not in out + err
+    payload = json.loads(out)
+    assert "models" not in payload
+    assert payload["error"]["type"] == "MixedLayer"
+    assert "over 5 atoms" in payload["error"]["message"]
+
+
 def test_wide_start_factor_exits_2(tmp_path):
     # The base leaves one union component over the hub A(x) and four chains
     # of 16 equivalent B atoms behind it: 65 atoms, 17 parts.  The update

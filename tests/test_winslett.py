@@ -782,3 +782,71 @@ def test_unique_rows_numbers_distinct_rows_at_any_width(width):
     rows, index = winslett._unique_rows(bits)
     assert (rows[index] == bits).all()
     assert len(rows) == len(np.unique(bits, axis=0))
+
+
+def _assert_block_table_matches_reference(models, values, width):
+    # the reference minimises each (value, live value) pair with
+    # _minimal_diffs and compares every diff with every chain for cover
+    table = winslett._BlockTable(models, values, width)
+    chains = [
+        [winslett._minimal_diffs((m ^ v).tolist()) for m in models]
+        for v in values.tolist()
+    ]
+    assert table.count.tolist() == [[len(c) for c in row] for row in chains]
+    for v, row in enumerate(chains):
+        for li, chain in enumerate(row):
+            start = table.first[v, li]
+            assert table.diffs[start:start + table.count[v, li]].tolist() == chain
+    assert table.diffs.tolist() == [d for row in chains for c in row for d in c]
+    if len(models) <= 1:
+        assert table.cover is None
+    else:
+        assert table.cover.tolist() == [
+            [any(o & ~d == 0 for o in other) for other in row]
+            for row in chains for c in row for d in c
+        ]
+
+
+@st.composite
+def _block_tables(draw):
+    """A block of 1-10 atoms, 0-4 live values each with models of some
+    density (none and all included), and a nonempty set of start values."""
+    width = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    densities = st.sampled_from([0.0, 0.02, 0.3, 0.8, 1.0])
+    models = [
+        np.flatnonzero(rng.random(1 << width) < draw(densities))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    keep = rng.random(1 << width) < draw(st.sampled_from([0.02, 0.3, 1.0]))
+    keep[rng.integers(1 << width)] = True
+    return models, np.flatnonzero(keep), width
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_block_tables(), st.sampled_from([winslett._CHUNK_CELLS, 1, 1 << 9]))
+def test_block_table_matches_the_pass_per_value(table, cells):
+    with mock.patch.object(winslett, "_CHUNK_CELLS", cells):
+        _assert_block_table_matches_reference(*table)
+
+
+@pytest.mark.parametrize(
+    "width, n_live, n_models, n_values, dense",
+    [
+        # 15 models over 15 bits: 15^2 is far below 2^15 * 15
+        (15, 1, 15, 1, False),
+        # 1,024 models over 11 bits: 1024^2 is above 2^11 * 11
+        (11, 4, 1024, 64, True),
+    ],
+)
+def test_block_table_regime_follows_its_size(width, n_live, n_models, n_values, dense):
+    rng = np.random.default_rng(width)
+    models = [
+        np.sort(rng.choice(1 << width, n_models, replace=False)) for _ in range(n_live)
+    ]
+    values = np.sort(rng.choice(1 << width, n_values, replace=False))
+    with mock.patch.object(
+        winslett, "_dense_chains", wraps=winslett._dense_chains
+    ) as transform:
+        _assert_block_table_matches_reference(models, values, width)
+    assert transform.called == dense
