@@ -50,7 +50,7 @@ from .parser import (
     render_schema,
     render_term,
 )
-from .splitting import LayerPlan, split_check, suggest_plan
+from .splitting import MIXED_LAYER, LayerPlan, split_check, suggest_plan
 
 log = logging.getLogger("hybridmknf")
 
@@ -257,7 +257,7 @@ def _layers_command(args: argparse.Namespace) -> tuple[dict, int]:
     for hi, kind in zip(plan.cumulative, kinds):
         layers.append({"predicates": sorted(hi - lo), "kind": kind})
         lo = hi
-    enabling = "mixed" not in kinds
+    enabling = MIXED_LAYER not in kinds
     return {"layers": layers, "update_enabling": enabling}, 0 if enabling else 1
 
 
@@ -285,8 +285,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors also answer with a JSON error
+    object; argparse then prints its usage on stderr and exits 2."""
+
+    def error(self, message: str):
+        _emit({"error": {"type": "UsageError", "message": message}})
+        super().error(message)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="hybridmknf",
         description="Model computation and updates for hybrid MKNF knowledge bases.",
     )
@@ -382,10 +391,10 @@ def _emit(payload: dict) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
-    args = _build_arg_parser().parse_args(argv)
+    parser = _build_arg_parser()
+    args = parser.parse_args(argv)
     if args.command == "models" and len(args.files) != 1:
-        print("models takes a single file; use update for sequences", file=sys.stderr)
-        return 2
+        parser.error("models takes a single file; use update for sequences")
     try:
         payload, status = _COMMANDS[args.command](args)
     except _SEMANTIC_ERRORS as err:

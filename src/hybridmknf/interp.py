@@ -282,6 +282,12 @@ class EngineLimits:
     max_component_atoms bounds the number of atoms a single truth table
     enumeration may range over; larger components are handled by conditioning
     on a small separator whose blocks each fit the bound again.
+    max_separator_atoms bounds that separator: a theory whose blocks still
+    exceed max_component_atoms once the separator holds this many atoms is
+    refused.  max_parts bounds every counted enumeration or stored table: a
+    theory's models, an update's start points, block tables and stored
+    rows, and the interpretations one query would range over.  max_branches
+    bounds the solution branches a layer may split the solve into.
     """
 
     max_component_atoms: int = 22

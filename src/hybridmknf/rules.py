@@ -48,25 +48,22 @@ _MaskRule = tuple[int, bool, int, int, int]
 
 
 def _compile(
-    programs: Sequence[Sequence[Rule]],
-    scope: frozenset[int] | None,
-    heads: list[int] | None = None,
+    programs: Sequence[Sequence[Rule]], scope: frozenset[int] | None
 ) -> tuple[list[int], int, list[_MaskRule]]:
     """One search's programs as integer masks over the atoms.
 
-    The candidate atoms, by default the positive heads inside the scope,
-    take the lowest bits in the given order, so candidate number m is its
-    own mask of true atoms.  Returns the candidate atoms, the scope mask
-    and the rules in stage order.
+    The candidate atoms, the positive heads inside the scope, take the
+    lowest bits, so candidate number m is its own mask of true atoms.
+    Returns the candidate atoms, the scope mask and the rules in stage
+    order.
     """
     all_rules = [r for prog in programs for r in prog]
     mentioned = scope_of(all_rules)
     if scope is None:
         scope = mentioned
-    if heads is None:
-        # only atoms some positive-head rule can derive may be true in a
-        # stable model; everything else in the scope is forced false
-        heads = sorted({r.head[1] for r in all_rules if r.head[0]} & scope)
+    # only atoms some positive-head rule can derive may be true in a
+    # stable model; everything else in the scope is forced false
+    heads = sorted({r.head[1] for r in all_rules if r.head[0]} & scope)
     order = heads + sorted((scope | mentioned) - set(heads))
     mask = {a: 1 << j for j, a in enumerate(order)}
     compiled = []
@@ -194,26 +191,23 @@ def dynamic_stable_models(
     every other scope atom false.
 
     Only the candidate atoms the well-founded bounds leave undecided are
-    guessed: they are recompiled onto the lowest bits with the sure atoms
-    above them, so the candidates are one range of masks.
+    guessed: each candidate is the sure atoms together with one subset of
+    the undecided ones.
     """
     del limits
     heads, scope_mask, compiled = _compile(programs, scope)
     sure, maybe = _bounds(compiled, scope_mask)
-
-    def among_heads(m: int) -> list[int]:
-        return [a for j, a in enumerate(heads) if m >> j & 1]
-
-    guessed, fixed = among_heads(maybe & ~sure), among_heads(sure)
+    head_bits = (1 << len(heads)) - 1
+    sure &= head_bits
+    undecided = maybe & head_bits & ~sure
+    guessed = undecided.bit_count()
     _check_candidates(
-        len(guessed), f"{len(guessed)} undecided of {len(heads)} candidate atoms"
+        guessed, f"{guessed} undecided of {len(heads)} candidate atoms"
     )
-    order = guessed + fixed + among_heads(~maybe)
-    if order != heads:
-        heads, scope_mask, compiled = _compile(programs, scope, order)
-    first = ((1 << len(fixed)) - 1) << len(guessed)
     found = []
-    for i in range(first, first + (1 << len(guessed))):
+    subset = 0
+    while True:
+        i = sure | subset
         latest: dict[tuple[bool, int], int] = {}  # head -> latest firing stage
         for stage, positive, atom, pos, neg in compiled:
             if pos & i == pos and not neg & i:
@@ -230,4 +224,6 @@ def dynamic_stable_models(
         assumed = scope_mask & ~derived
         if _least_model(kept, 0, assumed) == (i, scope_mask ^ i):
             found.append(i)
-    return _as_models(heads, found)
+        subset = (subset - undecided) & undecided
+        if not subset:
+            return _as_models(heads, found)

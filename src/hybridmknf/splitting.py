@@ -10,9 +10,8 @@ with body literals over lower predicates evaluated away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from ._graph import strongly_connected, union_find_groups
 from .errors import NotUpdatable
 from .interp import (
     Atom,
@@ -203,27 +202,6 @@ def layer_kind(slices: Sequence[HybridKb], lo: frozenset[str]) -> str:
 # plan suggestion
 
 
-def _condense(
-    nodes: Sequence[frozenset[str]], edges: dict[int, set[int]]
-) -> tuple[list[frozenset[str]], dict[int, set[int]]]:
-    """Merge strongly connected groups so the dependency graph is acyclic."""
-    sccs = strongly_connected(len(nodes), edges)
-    scc_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-    merged = []
-    for comp in sccs:
-        preds: frozenset[str] = frozenset()
-        for v in comp:
-            preds |= nodes[v]
-        merged.append(preds)
-    new_edges: dict[int, set[int]] = {i: set() for i in range(len(merged))}
-    for v, targets in edges.items():
-        for w in targets:
-            a, b = scc_of[v], scc_of[w]
-            if a != b:
-                new_edges[a].add(b)
-    return merged, new_edges
-
-
 def _uniformly_reducible(
     dkb: DynamicHybridKb, lo: frozenset[str], hi: frozenset[str]
 ) -> bool:
@@ -232,44 +210,54 @@ def _uniformly_reducible(
 
 
 def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
-    """Greedy layer plan: axiom predicates stay together, rule heads sit
-    above their bodies, and adjacent groups merge while every stage's slice
-    keeps a single character (ontology-like or rule-like)."""
-    sig = dkb.sig
-    clusters: list[Iterable[str]] = [[p] for p in sig.predicates]
+    """Greedy layer plan over one predicate graph of all stages.
+
+    A rule's head predicate depends on every predicate of its rule, and the
+    predicates of an axiom depend on each other.  Predicates that reach each
+    other form a group, whose level is one more than the highest level among
+    the groups it reaches.  Groups are taken by (level, least predicate), and
+    adjacent ones merge while every stage's slice keeps a single character
+    (ontology-like or rule-like)."""
+    deps: dict[str, set[str]] = {p: set() for p in dkb.sig.predicates}
     for kb in dkb.stages:
         for axiom in kb.ontology.axioms:
-            clusters.append(axiom.predicates())
-    groups = sorted((frozenset(g) for g in union_find_groups(clusters)), key=min)
-    group_of = {p: i for i, g in enumerate(groups) for p in g}
-
-    edges: dict[int, set[int]] = {i: set() for i in range(len(groups))}
-    for kb in dkb.stages:
+            preds = axiom.predicates()
+            for p in preds:
+                deps[p] |= preds
         for schema in kb.program:
-            head = group_of[schema.head_pred()]
-            for p in schema.predicates():
-                if group_of[p] != head:
-                    edges[head].add(group_of[p])
-
-    merged, dag = _condense(groups, edges)
-
-    levels: dict[int, int] = {}
-
-    def level(v: int) -> int:
-        if v not in levels:
-            levels[v] = 0
-            deps = dag.get(v, ())
-            if deps:
-                levels[v] = 1 + max(level(w) for w in deps)
-        return levels[v]
-
-    order = sorted(range(len(merged)), key=lambda v: (level(v), min(merged[v])))
+            deps[schema.head_pred()] |= schema.predicates()
+    # a walk from p takes the reach of a predicate already walked whole
+    reach: dict[str, frozenset[str]] = {}
+    for p in deps:
+        seen, todo = {p}, [p]
+        while todo:
+            q = todo.pop()
+            if q in reach:
+                seen |= reach[q]
+            else:
+                new = deps[q] - seen
+                seen |= new
+                todo.extend(new)
+        reach[p] = frozenset(seen)
+    # predicates reach each other exactly when they reach the same set, and
+    # one reached without reaching back reaches fewer, so it is levelled first
+    groups: dict[frozenset[str], list[str]] = {}
+    for p, r in reach.items():
+        groups.setdefault(r, []).append(p)
+    level: dict[str, int] = {}
+    for r in sorted(groups, key=len):
+        members = groups[r]
+        # the group's own predicates have no level yet and count as -1
+        top = max((level.get(q, -1) + 1 for p in members for q in deps[p]), default=0)
+        level.update(dict.fromkeys(members, top))
+    order = sorted(
+        map(frozenset, groups.values()), key=lambda g: (level[min(g)], min(g))
+    )
 
     cumulative: list[frozenset[str]] = []
     lo: frozenset[str] = frozenset()
     layer: frozenset[str] = frozenset()
-    for v in order:
-        group = merged[v]
+    for group in order:
         if layer and not _uniformly_reducible(dkb, lo, lo | layer | group):
             cumulative.append(lo | layer)
             lo = lo | layer

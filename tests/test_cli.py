@@ -37,6 +37,17 @@ def run_json(argv):
     return rc, json.loads(out)
 
 
+def run_usage_error(argv):
+    """Invoke main() on a usage error, which exits 2 through SystemExit;
+    return the JSON error on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    return json.loads(out.getvalue())["error"], err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def kbdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_kbs")
@@ -138,10 +149,12 @@ def test_inconsistent_kb_reports_no_models(kbdir):
 
 
 def test_models_rejects_several_files(kbdir):
-    rc, out, err = run(["models", str(kbdir / "tiny.kb"), str(kbdir / "empty.kb")])
-    assert rc == 2
-    assert out == ""
-    assert "update" in err
+    error, err = run_usage_error(
+        ["models", str(kbdir / "tiny.kb"), str(kbdir / "empty.kb")]
+    )
+    message = "models takes a single file; use update for sequences"
+    assert error == {"type": "UsageError", "message": message}
+    assert f"error: {message}" in err
 
 
 def test_parse_and_io_errors_exit_2(kbdir):
@@ -188,6 +201,21 @@ def test_usage_errors_exit_2():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["models"], "the following arguments are required: KB"),
+        (["solve", CARGO], "argument command: invalid choice: 'solve'"),
+    ],
+)
+def test_usage_errors_answer_with_a_json_error(argv, message):
+    error, err = run_usage_error(argv)
+    assert error["type"] == "UsageError"
+    assert error["message"].startswith(message)
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["split", CARGO, "--sequence", CARGO_PLAN],
@@ -200,9 +228,9 @@ def test_usage_errors_exit_2():
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(argv):
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
+    error, _ = run_usage_error(argv)
+    message = f"unrecognized arguments: {' '.join(argv[2:])}"
+    assert error == {"type": "UsageError", "message": message}
 
 
 def test_closed_stdout_prints_no_traceback():
@@ -331,13 +359,10 @@ def test_budget_flags_below_one_are_usage_errors(command, flag, value):
     argv = [command, CARGO, flag, value]
     if command == "entail":
         argv += ["--query", "K CompliantShpmt(s1)"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be at least 1, got {int(value)}" in err.getvalue()
-    assert "Traceback" not in err.getvalue() and not out.getvalue()
+    error, err = run_usage_error(argv)
+    message = f"argument {flag}: must be at least 1, got {int(value)}"
+    assert error == {"type": "UsageError", "message": message}
+    assert message in err and "Traceback" not in err
 
 
 def _assert_budget_refusal(argv, field, limit=1):

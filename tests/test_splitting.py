@@ -8,6 +8,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmknf.dynmknf import dynamic_models
 from hybridmknf.errors import EmptyUpdate, NotUpdatable
@@ -157,10 +158,31 @@ def test_suggest_plan_cargo_static(cargo):
     assert [len(u) for u in plan.cumulative] == [18, 22, 29, 30]
 
 
+# the predicates each layer of the cargo pair's suggested plan adds
+_CARGO_PAIR_LAYERS = (
+    {
+        "Bulk", "CherryTomato", "Commodity", "EdibleVegetable", "GrapeTomato",
+        "HTSChapter", "HTSCode", "HTSHeading", "Prepackaged", "Random",
+        "ShpmtCommod", "ShpmtCountry", "ShpmtDeclHTSCode", "ShpmtImporter",
+        "ShpmtProducer", "SuspectedBadGuy", "TariffCharge", "Tomato",
+    },
+    {"AdmissibleImporter", "ApprovedImporterOf", "CompliantShpmt", "RandomInspection"},
+    {
+        "CommodCountry", "EUCountry", "EURegisteredProducer", "ExpeditableImporter",
+        "FullInspection", "LowRiskEUCommodity", "RegisteredProducer",
+    },
+    {"PartialInspection"},
+)
+
+
 def test_suggest_plan_cargo_pair(cargo_pair):
     plan = suggest_plan(cargo_pair)
     plan.validate(cargo_pair)
-    assert len(plan) == 4
+    cumulative, lo = [], frozenset()
+    for added in _CARGO_PAIR_LAYERS:
+        lo = lo | added
+        cumulative.append(lo)
+    assert plan.cumulative == tuple(cumulative)
     manual = LayerPlan.from_json(json.load(open(CARGO_PLAN)))
     manual.validate(cargo_pair)
 
@@ -186,6 +208,80 @@ def test_suggest_plan_not_updatable():
         suggest_plan(DynamicHybridKb(sig, (mixed, mixed)))
     # a single stage tolerates the mix
     assert len(suggest_plan(single_stage(mixed))) == 1
+
+
+def test_rule_cycle_through_an_axiom_is_one_layer():
+    # P0(X) :- P1(X).  P1 [= P2.  P2(X) :- not P0(X).  P3 stays apart
+    sig = unary_sig(4)
+    kb = HybridKb(
+        sig,
+        Ontology((Axiom(ConceptName("P1"), ConceptName("P2")),), ()),
+        (
+            RuleSchema(lit("P0"), (lit("P1"),)),
+            RuleSchema(lit("P2"), (lit("P0", False),)),
+            RuleSchema(lit("P3"), (lit("P0"),)),
+        ),
+    )
+    plan = suggest_plan(single_stage(kb))
+    plan.validate(single_stage(kb))
+    assert [hi - lo for lo, hi in plan.slices()] == [
+        frozenset({"P0", "P1", "P2"}), frozenset({"P3"})
+    ]
+
+
+def _layer_of(plan: LayerPlan) -> dict[str, int]:
+    return {p: i for i, (lo, hi) in enumerate(plan.slices()) for p in hi - lo}
+
+
+def _mutual_dependence(dkb: DynamicHybridKb) -> dict[str, set[str]]:
+    """Predicates each predicate depends on through rules and axioms,
+    transitively, and that depend on it in turn."""
+    deps = {p: {p} for p in dkb.sig.predicates}
+    for kb in dkb.stages:
+        for axiom in kb.ontology.axioms:
+            for p in axiom.predicates():
+                deps[p] |= axiom.predicates()
+        for schema in kb.program:
+            deps[schema.head_pred()] |= schema.predicates()
+    changed = True
+    while changed:
+        changed = False
+        for p in deps:
+            wider = set().union(*(deps[q] for q in deps[p]))
+            if wider != deps[p]:
+                deps[p], changed = wider, True
+    return {p: {q for q in deps[p] if p in deps[q]} for p in deps}
+
+
+def _random_dkb(seed: int, updatable: bool) -> DynamicHybridKb:
+    rng = random.Random(seed)
+    if updatable:
+        return rnd_updatable_dkb(rng, rng.randint(2, 6), rng.randint(1, 3))[0]
+    n_preds = rng.randint(1, 6)
+    stages = [rnd_hybrid_kb(rng, n_preds, 3, 1, 5) for _ in range(rng.randint(1, 3))]
+    sig = stages[0].sig
+    return DynamicHybridKb(
+        sig, tuple(HybridKb(sig, kb.ontology, kb.program) for kb in stages)
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_suggested_plans_layer_rules_above_their_bodies(seed, updatable):
+    dkb = _random_dkb(seed, updatable)
+    try:
+        plan = suggest_plan(dkb)
+    except NotUpdatable:
+        assert len(dkb.stages) > 1 and not updatable
+        return
+    plan.validate(dkb)
+    layer_of = _layer_of(plan)
+    for kb in dkb.stages:
+        for schema in kb.program:
+            for p in schema.body_predicates():
+                assert layer_of[schema.head_pred()] >= layer_of[p]
+    for p, mutual in _mutual_dependence(dkb).items():
+        assert {layer_of[q] for q in mutual} == {layer_of[p]}
 
 
 def test_reduce_stage_rule_outcomes():
