@@ -164,6 +164,7 @@ def _solve_command(args: argparse.Namespace) -> tuple[dict, int]:
     dkb = _load(args.files)
     plan = _load_plan(args.sequence, dkb)
     limits = _limits(args)
+    query = None if args.query is None else parse_query(args.query, dkb.sig)
     t0 = time.perf_counter()
     models = dynamic_models(dkb, plan, limits)
     log.debug("solved %d model(s) in %.3fs", len(models), time.perf_counter() - t0)
@@ -172,8 +173,7 @@ def _solve_command(args: argparse.Namespace) -> tuple[dict, int]:
         "models": [_model_json(m, dkb.sig) for m in models],
     }
     ok = bool(models)
-    if args.query is not None:
-        query = parse_query(args.query, dkb.sig)
+    if query is not None:
         ok = entails(models, query, limits) if models else False
         payload["holds"] = ok
     if args.oracle:

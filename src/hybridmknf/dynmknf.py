@@ -33,6 +33,7 @@ from .splitting import (
     RULE_LAYER,
     LayerPlan,
     layer_kind,
+    layer_kinds,
     reduce_stage,
     slice_stage,
     suggest_plan,
@@ -40,14 +41,6 @@ from .splitting import (
 from .winslett import sequence_update_model
 
 _DIRECT_LAYER_ATOMS = 4
-
-
-def layer_kinds(dkb: DynamicHybridKb, plan: LayerPlan) -> list[str]:
-    """Character of each layer across all stages; ontology wins ties."""
-    return [
-        layer_kind([slice_stage(kb, lo, hi) for kb in dkb.stages], lo)
-        for lo, hi in plan.slices()
-    ]
 
 
 def is_update_enabling(dkb: DynamicHybridKb, plan: LayerPlan) -> bool:

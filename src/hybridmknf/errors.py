@@ -18,7 +18,7 @@ class SortMismatch(HybridMknfError):
 
 
 class UnsortableVariable(HybridMknfError):
-    """A rule variable whose sort cannot be determined from body positions."""
+    """An axiom whose concepts do not determine the sort it ranges over."""
 
 
 class EmptyIntersection(HybridMknfError):

@@ -419,7 +419,7 @@ class Component:
     def parts(self) -> np.ndarray:
         """Every part as one sorted, unique, read-only array: int64 up to 62
         atoms, Python ints in an object array past them."""
-        parts = np.sort(_union_of_products(self.terms, self.factors, len(self.atoms)))
+        parts = np.sort(expand([self], self.atoms))
         parts.flags.writeable = False
         return parts
 
@@ -449,32 +449,26 @@ class Component:
         return (1 << len(self.atoms)) - 1 & ~seen
 
     @cached_property
+    def factor_atoms(self) -> tuple[tuple[int, ...], ...]:
+        """Each factor's atoms, in the order of that factor's bits."""
+        return tuple(tuple(self.atoms[p] for p in f) for f in self.factors)
+
+    @cached_property
     def _factor_masks(self) -> list[int]:
         return [_place((1 << len(f)) - 1, f) for f in self.factors]
 
-    def reading(self, bits: int) -> tuple[int, list[int]]:
-        """The factors that hold some of the given bits, and how many parts
-        there are cut down to them, counted once per part of each term's
-        product."""
+    def piece(
+        self, bits: int
+    ) -> tuple[int, Sequence[tuple[int, ...]], Sequence[Sequence[np.ndarray]]]:
+        """The factors that hold some of the given bits, unmultiplied: how
+        many parts there are cut down to them, counted once per part of each
+        term's product, their atoms, and each term's arrays over them."""
         if len(self.factors) == 1:
-            return self.part_count, [0]
+            return self.part_count, self.factor_atoms, self.terms
         touched = [f for f, mask in enumerate(self._factor_masks) if mask & bits]
-        count = sum(math.prod(term[f].size for f in touched) for term in self.terms)
-        return count, touched
-
-    def cut(self, factors: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-        """The parts cut down to the given factors: those factors' atoms,
-        one factor after another, and the masks over them, bit i for the
-        i-th of those atoms."""
-        if len(self.factors) == 1:
-            return self.atoms, self.parts
-        atoms: list[int] = []
-        spans = []
-        for f in factors:
-            spans.append(range(len(atoms), len(atoms) + len(self.factors[f])))
-            atoms.extend(self.atoms[p] for p in self.factors[f])
-        terms = [[term[f] for f in factors] for term in self.terms]
-        return tuple(atoms), _union_of_products(terms, spans, len(atoms))
+        terms = [[term[f] for f in touched] for term in self.terms]
+        count = sum(math.prod(a.size for a in term) for term in terms)
+        return count, [self.factor_atoms[f] for f in touched], terms
 
     def project(self, atoms: Iterable[int]) -> "Component | None":
         """Component over the given subset of this scope, or None if disjoint."""
@@ -572,48 +566,48 @@ def _place(mask: int, positions: Sequence[int]) -> int:
     return out
 
 
-def _union_of_products(
-    terms: Sequence[Sequence[np.ndarray]], factors: Sequence[Sequence[int]], width: int
+def _product(
+    pieces: Iterable[tuple[Sequence[Sequence[int]], Sequence[Sequence[np.ndarray]]]],
+    bit: Mapping[int, int],
 ) -> np.ndarray:
-    """Every OR of one mask from each array of some term, each moved from
-    its factor's bits to the factor's positions, term by term; Python ints
-    in an object array past 62 bits."""
-    wide = width > 62
-    return np.concatenate([
-        or_product(
-            lift_bits(a.astype(object) if wide else a, f) for a, f in zip(term, factors)
-        )
-        for term in terms
-    ])
+    """Every OR of one mask from each piece, each atom moved to the bit the
+    map gives it, times every value of the mapped atoms no piece holds.
+
+    A piece is its factors' atoms and its terms, each one mask array per
+    factor in that factor's own bits, and stands for the union of its
+    terms' products.  The masks come in product order; past 62 bits they
+    are Python ints in an object array.
+    """
+    wide = len(bit) > 62
+    free = dict(bit)
+    arrays = []
+    for factors, terms in pieces:
+        targets = [[free.pop(a) for a in f] for f in factors]
+        lifted = [
+            [lift_bits(a.astype(object) if wide else a, t) for a, t in zip(term, targets)]
+            for term in terms
+        ]
+        if len(lifted) == 1:
+            arrays.extend(lifted[0])
+        else:
+            arrays.append(np.concatenate([or_product(term) for term in lifted]))
+    if free:
+        fills = np.arange(1 << len(free), dtype=object if wide else np.int64)
+        arrays.append(lift_bits(fills, list(free.values())))
+    return or_product(arrays)
 
 
 def expand(comps: Sequence[Component], atoms: Sequence[int]) -> np.ndarray:
     """Masks over the given atom order, bit i for atoms[i], of every
     interpretation the disjoint comps allow, with the other atoms free.
 
-    Every component must lie among the atoms.  The masks are distinct and
+    Every component must lie among the atoms.  Each is read from its terms,
+    so a union component is never flattened.  The masks are distinct and
     come in product order; past 62 atoms they are Python ints in an object
     array.
     """
-    return _lifted_product([(c.atoms, c.parts) for c in comps], atoms)
-
-
-def _lifted_product(
-    pieces: Sequence[tuple[tuple[int, ...], np.ndarray]], atoms: Sequence[int]
-) -> np.ndarray:
-    """Every OR of one mask from each piece, moved from its own atoms to
-    the given atom order, times every value of the atoms no piece holds."""
-    wide = len(atoms) > 62
-    free = {a: i for i, a in enumerate(atoms)}
-    arrays = []
-    for scope, masks in pieces:
-        if wide:
-            masks = masks.astype(object)
-        arrays.append(lift_bits(masks, [free.pop(a) for a in scope]))
-    if free:
-        fills = np.arange(1 << len(free), dtype=object if wide else np.int64)
-        arrays.append(lift_bits(fills, list(free.values())))
-    return or_product(arrays)
+    bit = dict(zip(atoms, range(len(atoms))))
+    return _product([(c.factor_atoms, c.terms) for c in comps], bit)
 
 
 def _enumeration_guard(cost: float, components: int, limits: EngineLimits) -> None:
@@ -639,12 +633,13 @@ def holds_known(
 
     Atoms outside every component range freely.  An atom or a negated atom
     is read from the fixed-bit masks of the component that owns the atom,
-    and a free one never holds.  A constant sentence is evaluated once.  Any
-    other sentence is evaluated over the product of the components it
-    touches, each read only on the factors that hold the sentence's atoms,
-    term by term.  That is only attempted while the candidate count stays
-    inside the configured budget; a literal counts the rows its owner
-    stores, or 2 when free, against the same budget.
+    and a free one never holds.  Any other sentence is evaluated over the
+    product of the components it touches, each read only on the factors
+    that hold the sentence's atoms, term by term, and of its free atoms; a
+    constant sentence touches none and is evaluated once.  That is only
+    attempted while the candidate count stays inside the configured budget;
+    a literal counts the rows its owner stores, or 2 when free, against the
+    same budget.
     """
     negated = sent.__class__ is Neg
     literal = sent.sub if negated else sent
@@ -658,31 +653,25 @@ def holds_known(
         fixed = comp.fixed_false if negated else comp.fixed_true
         return bool(fixed >> place[1] & 1)
 
-    rel = atoms_of(sent)
     owner = m.atom_owner
     # the bits the sentence reads in each component it touches
     reads: dict[int, int] = {}
     free = []
-    for a in rel:
+    for a in atoms_of(sent):
         place = owner.get(a)
         if place is None:
             free.append(a)
         else:
             reads[place[0]] = reads.get(place[0], 0) | 1 << place[1]
-    free.sort()
-    positions = sorted(reads)
-    touched = [m.components[i] for i in positions]
-    readings = [m.components[i].reading(reads[i]) for i in positions]
+    pieces = [m.components[i].piece(reads[i]) for i in sorted(reads)]
     cost = float(1 << len(free))
-    for count, _ in readings:
+    for count, _, _ in pieces:
         cost *= count
-    _enumeration_guard(cost, len(touched), limits)
-    if not rel:
-        return eval_objective(sent, frozenset())
-    pieces = [c.cut(factors) for c, (_, factors) in zip(touched, readings)]
-    atoms = [a for scope, _ in pieces for a in scope] + free
-    bit = {a: i for i, a in enumerate(atoms)}
-    return bool(eval_objective_masks(sent, bit, _lifted_product(pieces, atoms)).all())
+    _enumeration_guard(cost, len(pieces), limits)
+    atoms = [a for _, factors, _ in pieces for f in factors for a in f] + free
+    bit = dict(zip(atoms, range(len(atoms))))
+    masks = _product([(factors, terms) for _, factors, terms in pieces], bit)
+    return bool(eval_objective_masks(sent, bit, masks).all())
 
 
 def holds_not(m: ModelSet, sent: Sentence, limits: EngineLimits = DEFAULT_LIMITS) -> bool:

@@ -315,6 +315,7 @@ class RuleSchema(_Statement):
         return self.head.positive
 
     def variable_sorts(self, sig: Signature) -> dict[str, str]:
+        """Each variable's sort, read from the argument positions it fills."""
         sorts: dict[str, str] = {}
         for atom in self.atoms():
             if atom.pred not in sig.predicates:
@@ -339,10 +340,6 @@ class RuleSchema(_Statement):
                             f"{atom.pred} expects sort {sort} where constant {term} "
                             f"of sort {sig.constants[term]} appears"
                         )
-        for atom in self.atoms():
-            for term in atom.args:
-                if is_variable(term) and term not in sorts:
-                    raise UnsortableVariable(f"variable {term} has no sorted occurrence")
         return sorts
 
     def _instances(self, sig: Signature) -> tuple[Rule, ...]:

@@ -198,15 +198,20 @@ def layer_kind(slices: Sequence[HybridKb], lo: frozenset[str]) -> str:
     return MIXED_LAYER
 
 
+def _stages_layer_kind(
+    dkb: DynamicHybridKb, lo: frozenset[str], hi: frozenset[str]
+) -> str:
+    """Character of the layer between two prefix sets across all stages."""
+    return layer_kind([slice_stage(kb, lo, hi) for kb in dkb.stages], lo)
+
+
+def layer_kinds(dkb: DynamicHybridKb, plan: LayerPlan) -> list[str]:
+    """Character of each layer across all stages; ontology wins ties."""
+    return [_stages_layer_kind(dkb, lo, hi) for lo, hi in plan.slices()]
+
+
 # ---------------------------------------------------------------------------
 # plan suggestion
-
-
-def _uniformly_reducible(
-    dkb: DynamicHybridKb, lo: frozenset[str], hi: frozenset[str]
-) -> bool:
-    slices = [slice_stage(kb, lo, hi) for kb in dkb.stages]
-    return layer_kind(slices, lo) != MIXED_LAYER
 
 
 def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
@@ -258,7 +263,7 @@ def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
     lo: frozenset[str] = frozenset()
     layer: frozenset[str] = frozenset()
     for group in order:
-        if layer and not _uniformly_reducible(dkb, lo, lo | layer | group):
+        if layer and _stages_layer_kind(dkb, lo, lo | layer | group) == MIXED_LAYER:
             cumulative.append(lo | layer)
             lo = lo | layer
             layer = group
@@ -269,8 +274,8 @@ def suggest_plan(dkb: DynamicHybridKb) -> LayerPlan:
     plan = LayerPlan(tuple(cumulative))
     if len(dkb.stages) > 1:
         # update semantics needs every layer single-charactered
-        for lo, hi in plan.slices():
-            if not _uniformly_reducible(dkb, lo, hi):
+        for (lo, hi), kind in zip(plan.slices(), layer_kinds(dkb, plan)):
+            if kind == MIXED_LAYER:
                 raise NotUpdatable(
                     "no update-enabling layer sequence found; the predicates "
                     f"{sorted(hi - lo)} mix ontology and rule content"

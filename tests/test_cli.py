@@ -367,10 +367,11 @@ def test_budget_flags_below_one_are_usage_errors(command, flag, value):
 
 def _assert_budget_refusal(argv, field, limit=1):
     """Exit 2 with a ResourceLimit that names its EngineLimits field and
-    value, and no partial answer: the payload holds only the error, whose
-    message is returned."""
-    rc, payload = run_json(argv)
-    assert rc == 2
+    value, and no partial answer or traceback: the payload holds only the
+    error, whose message is returned."""
+    rc, out, err = run(argv)
+    assert rc == 2 and "Traceback" not in out + err
+    payload = json.loads(out)
     assert set(payload) == {"error"}
     assert payload["error"]["type"] == "ResourceLimit"
     assert f"EngineLimits.{field} = {limit}" in payload["error"]["message"]
@@ -495,6 +496,57 @@ def test_candidate_cap_exits_2(tmp_path):
     message = payload["error"]["message"]
     assert "over 22 undecided of 22 candidate atoms" in message
     assert f"rules._CANDIDATE_CAP = {rules._CANDIDATE_CAP}" in message
+
+
+def test_theory_model_budget_exits_2(tmp_path):
+    # top [= ~(~A0 & ... & ~A21) over one constant: a 22-atom block whose
+    # 2^22 - 1 models exceed EngineLimits.max_parts, which has no flag
+    decl = "sort obj: x\n" + "".join(f"pred A{i}(obj)\n" for i in range(22))
+    some = " & ".join(f"~A{i}" for i in range(22))
+    kb = tmp_path / "theory.kb"
+    kb.write_text(decl + f"*** O ***\ntop [= ~({some})\n")
+    message = _assert_budget_refusal(
+        ["models", str(kb)], "max_parts", DEFAULT_LIMITS.max_parts
+    )
+    assert "theory has too many models to enumerate: at least 4194303," in message
+
+
+def test_update_start_set_budget_exits_2(tmp_path):
+    # the base holds 2^11 - 1 models over A0-A10 and as many over B0-B10;
+    # an update over A0 and B0 starts from their product, 4,190,209 points,
+    # more than EngineLimits.max_parts
+    decl = "sort obj: x\n" + "".join(
+        f"pred {p}{i}(obj)\n" for p in "AB" for i in range(11)
+    )
+    axioms = "".join(
+        "top [= ~(" + " & ".join(f"~{p}{i}" for i in range(11)) + ")\n" for p in "AB"
+    )
+    base, update = tmp_path / "base.kb", tmp_path / "update.kb"
+    base.write_text(decl + "*** O ***\n" + axioms)
+    update.write_text(decl + "*** O ***\ntop [= ~(~A0 & ~B0)\n")
+    message = _assert_budget_refusal(
+        ["update", str(base), str(update)], "max_parts", DEFAULT_LIMITS.max_parts
+    )
+    assert "update start set is too large to enumerate: 4190209 starts," in message
+
+
+@pytest.mark.parametrize(
+    "argv", [["models", CARGO], ["update", CARGO, CARGO_UPDATE]], ids=["models", "update"]
+)
+def test_query_is_parsed_before_the_solve(monkeypatch, argv):
+    # an undeclared query predicate is reported as entail reports it, before
+    # any solve, even when the solve would stop on a budget
+    def no_solve(*args):
+        raise AssertionError("solved before the query was parsed")
+
+    monkeypatch.setattr(cli, "dynamic_models", no_solve)
+    tail = ["--max-component-atoms", "1", "--query", "K Nope(x)"]
+    for command in (argv[0], "entail"):
+        rc, out, err = run([command, *argv[1:], *tail])
+        assert rc == 2 and "Traceback" not in out + err
+        payload = json.loads(out)
+        assert set(payload) == {"error"}
+        assert payload["error"]["type"] == "UndeclaredSymbol", command
 
 
 def test_explicit_plan_gives_same_answer():

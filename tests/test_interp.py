@@ -649,6 +649,9 @@ def test_union_component_reads_as_its_flat_parts(case, sents, modal, keep, seed)
     assert interpretation_count([union] + around, 8) == interpretation_count(
         [flat] + around, 8
     )
+    assert sorted(expand([union] + around, range(8)).tolist()) == sorted(
+        expand([flat] + around, range(8)).tolist()
+    )
     m_union, m_flat = ModelSet(tuple([union] + around)), ModelSet(tuple([flat] + around))
     literals = [s for a in union.atoms for s in (Atom(a), Neg(Atom(a)))]
     for sent in sents + literals:
